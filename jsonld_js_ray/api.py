@@ -21,7 +21,9 @@ from .core import nquads as _nq
 from .core import to_rdf as _to_rdf_mod
 from .core.errors import JsonLdError
 from .core.types import is_keyword
-from .core.util import IdentifierIssuer, as_array, deep_clone, relabel_blank_nodes
+from .core.util import (
+    IdentifierIssuer, as_array, deep_clone, js_sorted, relabel_blank_nodes,
+)
 
 
 def _unwrap_loader_record(rec: Any, url: str) -> tuple:
@@ -371,7 +373,7 @@ def merge(docs: list, ctx: Any = None, options: dict | None = None) -> Any:
     default_graph = _nodemap.merge_node_maps(graphs)
 
     flattened = []
-    for key in sorted(default_graph.keys()):
+    for key in js_sorted(default_graph):
         node = default_graph[key]
         # remove subject references without other properties
         if not (len(node) == 1 and "@id" in node):

@@ -16,7 +16,7 @@ from itertools import permutations
 
 from . import nquads as _nq
 from .errors import JsonLdError
-from .util import IdentifierIssuer
+from .util import IdentifierIssuer, js_sorted
 
 # Work-limit guard: symmetric blank-node structures (k-cliques of
 # indistinguishable bnodes) drive the hash-N-degree permutation search
@@ -81,9 +81,7 @@ class _CanonState:
                     copy.append(("BlankNode",
                                  "_:a" if t[1] == bnode_id else "_:z"))
             nquads.append(_nq.serialize_quad(tuple(copy)))
-        # JS Array.sort compares UTF-16 code units
-        nquads.sort(key=lambda line: line.encode("utf-16-be"))
-        h = self._hash("".join(nquads))
+        h = self._hash("".join(js_sorted(nquads)))
         self.hash_cache[bnode_id] = h
         return h
 

@@ -6,6 +6,7 @@ from typing import Any
 
 from .nodemap import create_merged_node_map
 from .types import is_subject_reference
+from .util import js_sorted
 
 
 def flatten(input_: Any) -> list:
@@ -13,6 +14,6 @@ def flatten(input_: Any) -> list:
     default_graph = create_merged_node_map(input_)
     return [
         default_graph[k]
-        for k in sorted(default_graph.keys())
+        for k in js_sorted(default_graph)
         if not is_subject_reference(default_graph[k])
     ]

@@ -5,6 +5,16 @@ mergeNodeMaps (/root/reference/lib/nodeMap.js:24-290): recursive flatten
 naming blank nodes via an IdentifierIssuer (@type bnodes first), subject
 merge with duplicate suppression, @reverse inversion, nested-@graph
 recursion, @included, @index conflict detection, list capture.
+
+Complexity: adding a value costs O(1) however many values its property
+already holds, since duplicate suppression goes through one
+``util.ValueIndex`` per top-level call; the whole map costs O(n) plus
+the key sorts (O(n log n) for a subject with n properties). This is a
+deliberate departure from the reference, whose util.js hasValue scans
+the property's values on every add and makes a subject with N
+references (a conversation with N turns) cost O(N²). Which values count
+as duplicates is unchanged: ``util.value_key`` matches exactly when
+``util.compare_values`` does.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from .types import (
     is_value,
 )
 from .util import (
-    _MISSING, IdentifierIssuer, _js_strict_eq, add_value, deep_clone,
+    _MISSING, IdentifierIssuer, ValueIndex, _js_strict_eq, deep_clone,
+    js_sorted,
 )
 
 
@@ -39,10 +50,17 @@ def create_node_map(
     list_: list | None = None,
 ) -> None:
     """Recursively flatten expanded input into ``graphs``
-    (nodeMap.js:47-223)."""
+    (nodeMap.js:47-223). ``graphs`` may already hold nodes from earlier
+    calls; values they have are not added again."""
+    _node_map(input_, graphs, graph, issuer, name, list_, ValueIndex())
+
+
+def _node_map(input_: Any, graphs: dict[str, dict], graph: str,
+              issuer: IdentifierIssuer, name: str | None, list_: list | None,
+              index: ValueIndex) -> None:
     if isinstance(input_, list):
         for node in input_:
-            create_node_map(node, graphs, graph, issuer, None, list_)
+            _node_map(node, graphs, graph, issuer, None, list_, index)
         return
 
     if not isinstance(input_, dict):
@@ -60,7 +78,8 @@ def create_node_map(
         return
     if list_ is not None and is_list(input_):
         sub_list: list = []
-        create_node_map(input_["@list"], graphs, graph, issuer, name, sub_list)
+        _node_map(input_["@list"], graphs, graph, issuer, name, sub_list,
+                  index)
         list_.append({"@list": sub_list})
         return
 
@@ -96,7 +115,7 @@ def create_node_map(
         subject.pop("@id", None)
     else:
         subject["@id"] = name
-    for prop in sorted(input_.keys()):
+    for prop in js_sorted(input_):
         if prop == "@id":
             continue
 
@@ -108,20 +127,20 @@ def create_node_map(
                     item_name = item.get("@id")
                     if is_blank_node(item):
                         item_name = issuer.get_id(item_name)
-                    create_node_map(item, graphs, graph, issuer, item_name)
-                    add_value(
-                        subjects[item_name], reverse_prop, referenced_node,
-                        property_is_array=True, allow_duplicate=False)
+                    _node_map(item, graphs, graph, issuer, item_name, None,
+                              index)
+                    index.add(subjects[item_name], reverse_prop,
+                              referenced_node)
             continue
 
         if prop == "@graph":
             if name not in graphs:
                 graphs[name] = {}
-            create_node_map(input_[prop], graphs, name, issuer)
+            _node_map(input_[prop], graphs, name, issuer, None, None, index)
             continue
 
         if prop == "@included":
-            create_node_map(input_[prop], graphs, graph, issuer)
+            _node_map(input_[prop], graphs, graph, issuer, None, None, index)
             continue
 
         if prop != "@type" and is_keyword(prop):
@@ -150,7 +169,7 @@ def create_node_map(
             prop = issuer.get_id(prop)
 
         if len(objects) == 0:
-            add_value(subject, prop, [], property_is_array=True)
+            index.add(subject, prop, [])
             continue
 
         for o in objects:
@@ -163,40 +182,37 @@ def create_node_map(
                     continue
                 oid = issuer.get_id(o.get("@id")) if is_blank_node(o) \
                     else o["@id"]
-                add_value(subject, prop, {"@id": oid},
-                          property_is_array=True, allow_duplicate=False)
-                create_node_map(o, graphs, graph, issuer, oid)
+                index.add(subject, prop, {"@id": oid})
+                _node_map(o, graphs, graph, issuer, oid, None, index)
             elif is_value(o):
-                add_value(subject, prop, o,
-                          property_is_array=True, allow_duplicate=False)
+                index.add(subject, prop, o)
             elif is_list(o):
                 sub_list = []
-                create_node_map(o["@list"], graphs, graph, issuer, name,
-                                sub_list)
-                o = {"@list": sub_list}
-                add_value(subject, prop, o,
-                          property_is_array=True, allow_duplicate=False)
+                _node_map(o["@list"], graphs, graph, issuer, name, sub_list,
+                          index)
+                index.add(subject, prop, {"@list": sub_list})
             else:
-                create_node_map(o, graphs, graph, issuer, name)
-                add_value(subject, prop, o,
-                          property_is_array=True, allow_duplicate=False)
+                _node_map(o, graphs, graph, issuer, name, None, index)
+                index.add(subject, prop, o)
 
 
 def merge_node_map_graphs(graphs: dict[str, dict]) -> dict:
     """Union all graphs into one merged map (nodeMap.js:233-260)."""
     merged: dict[str, dict] = {}
-    for name in sorted(graphs.keys()):
-        for id_ in sorted(graphs[name].keys()):
+    index = ValueIndex()
+    for name in js_sorted(graphs):
+        for id_ in js_sorted(graphs[name]):
             node = graphs[name][id_]
             merged_node = merged.setdefault(id_, {"@id": id_})
-            for prop in sorted(node.keys()):
+            for prop in js_sorted(node):
                 if is_keyword(prop) and prop != "@type":
                     merged_node[prop] = deep_clone(node[prop])
                 else:
+                    # key the stored clone, which is what the reference
+                    # compares: an @json literal shared by two graphs'
+                    # nodes stays twice, since clones differ in identity
                     for value in node[prop]:
-                        add_value(merged_node, prop, deep_clone(value),
-                                  property_is_array=True,
-                                  allow_duplicate=False)
+                        index.add(merged_node, prop, deep_clone(value))
             if "@id" not in node:
                 # the source node carries a JS-undefined @id (bare @list
                 # under the "undefined" key): the reference's keyword
@@ -211,7 +227,7 @@ def merge_node_maps(graphs: dict[str, dict]) -> dict:
     """Move named graphs under @graph of their graph-name node in the
     default graph (nodeMap.js:262-290)."""
     default_graph = graphs["@default"]
-    for graph_name in sorted(graphs.keys()):
+    for graph_name in js_sorted(graphs):
         if graph_name == "@default":
             continue
         node_map = graphs[graph_name]
@@ -222,7 +238,7 @@ def merge_node_maps(graphs: dict[str, dict]) -> dict:
         elif "@graph" not in subject:
             subject["@graph"] = []
         graph_list = subject["@graph"]
-        for id_ in sorted(node_map.keys()):
+        for id_ in js_sorted(node_map):
             node = node_map[id_]
             if not is_subject_reference(node):
                 graph_list.append(node)

@@ -14,6 +14,7 @@ import re
 
 from .constants import XSD_STRING
 from .errors import JsonLdError
+from .util import js_sorted
 
 _IRI = r"<([^\x00-\x20<>\"{}|^`\\]*)>"
 _BNODE = r"(_:(?:[A-Za-z0-9_]|[^\x00-\x7F])(?:[A-Za-z0-9_.\-]|[^\x00-\x7F])*)"
@@ -136,6 +137,5 @@ def serialize(dataset: list[tuple]) -> str:
     Quads with a null object (the reference emits these for relative
     IRIs inside @list chains, toRdf.js:158-204 — invalid RDF) are
     unserializable and skipped."""
-    return "".join(sorted(
-        set(serialize_quad(q) for q in dataset if q[2] is not None),
-        key=lambda line: line.encode("utf-16-be")))
+    return "".join(js_sorted(
+        {serialize_quad(q) for q in dataset if q[2] is not None}))

@@ -27,7 +27,7 @@ from .errors import JsonLdError
 from .nodemap import create_node_map
 from .types import is_double, is_keyword, is_list, is_number, is_value
 from .url import is_absolute
-from .util import IdentifierIssuer
+from .util import IdentifierIssuer, js_sorted
 
 Term = tuple
 Quad = tuple
@@ -84,7 +84,7 @@ def to_rdf(input_: Any, options: dict | None = None) -> list[Quad]:
     create_node_map(input_, node_map, "@default", issuer)
 
     dataset: list[Quad] = []
-    for graph_name in sorted(node_map.keys()):
+    for graph_name in js_sorted(node_map):
         if graph_name == "@default":
             graph_term: Term = ("DefaultGraph", "")
         elif is_absolute(graph_name):
@@ -104,14 +104,14 @@ def _graph_to_rdf(dataset: list, graph: dict, graph_term: Term,
     """(toRdf.js:88-145)"""
     produce_generalized = bool(options.get("produceGeneralizedRdf"))
     rdf_direction = options.get("rdfDirection")
-    for id_ in sorted(graph.keys()):
+    for id_ in js_sorted(graph):
         node = graph[id_]
         # relative-IRI subjects produce no quads (checked per item in the
         # reference, toRdf.js:108-111 — invariant per node, hoisted here)
         subject_ok = is_absolute(id_)
         subject: Term = (
             "BlankNode" if id_.startswith("_:") else "NamedNode", id_)
-        for prop in sorted(node.keys()):
+        for prop in js_sorted(node):
             items = node[prop]
             if prop == "@type":
                 prop = RDF_TYPE

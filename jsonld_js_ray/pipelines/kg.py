@@ -460,7 +460,7 @@ def distributed_merge_node_props(sf_dir: str):
 
     from .. import api as _api
     from ..core.types import is_keyword
-    from ..core.util import add_value
+    from ..core.util import ValueIndex
 
     docs = assemble_docs(sf_dir)
 
@@ -492,9 +492,9 @@ def distributed_merge_node_props(sf_dir: str):
 
     def merge_subject(g: pd.DataFrame) -> pd.DataFrame:
         node: dict = {}
+        index = ValueIndex()
         for prop, vj in zip(g["prop"], g["value_json"]):
-            add_value(node, prop, json.loads(vj),
-                      property_is_array=True, allow_duplicate=False)
+            index.add(node, prop, json.loads(vj))
         n_values = sum(len(v) for v in node.values())
         return pd.DataFrame({
             "subj": [g["subj"].iloc[0]],

@@ -8,12 +8,17 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jsonld_js_ray import api
 from jsonld_js_ray.core import canonize as canonize_mod
-from jsonld_js_ray.core import jcs, nquads, url
+from jsonld_js_ray.core import jcs, nquads, url, util
+from jsonld_js_ray.core.nodemap import create_node_map, merge_node_map_graphs
 from jsonld_js_ray.core.to_rdf import double_canonical
-from jsonld_js_ray.core.util import IdentifierIssuer, add_value, compare_values
+from jsonld_js_ray.core.util import (
+    IdentifierIssuer, ValueIndex, add_value, compare_shortest_least,
+    compare_values, js_sorted, value_key,
+)
 
 REF = "/root/reference"
 
@@ -115,6 +120,213 @@ def test_add_value_dedup() -> None:
     add_value(subj, "p", "b", property_is_array=True, allow_duplicate=False)
     assert subj == {"p": ["a", "b"]}
 
+
+
+# value_key must match exactly when compare_values does: ValueIndex (the
+# node map's duplicate suppression) relies on it. Shared objects make the
+# identity cases (JS === on objects, NaN) come up.
+_SHARED_JSON = {"a": [1]}
+_SHARED_LIST = ["t"]
+_SHARED_NAN = float("nan")
+_ABSENT = object()
+
+_components = st.one_of(
+    st.sampled_from(["x", "y", "", 0, 1, 1.0, -0.0, True, False, None,
+                     _SHARED_JSON, _SHARED_LIST, _SHARED_NAN]),
+    st.builds(lambda: {"a": [1]}),      # equal to _SHARED_JSON, distinct
+    st.builds(lambda: float("nan")),
+)
+_optional = st.one_of(st.just(_ABSENT), _components)
+
+
+def _obj(**members) -> dict:
+    return {"@" + k: v for k, v in members.items() if v is not _ABSENT}
+
+
+_keyed_values = st.one_of(
+    _components,
+    st.builds(lambda v, t, lang, i: _obj(value=v, type=t, language=lang,
+                                         index=i),
+              _components, _optional, _optional, _optional),
+    st.builds(lambda i, extra: {"@id": i, **({"other": 1} if extra else {})},
+              _components, st.booleans()),
+    st.builds(lambda: {"@list": []}),
+    st.builds(dict),
+)
+# a value object with @id matches value objects by the 4-tuple and nodes
+# by @id; it has no key and is compared by scan
+_values = st.one_of(
+    _keyed_values,
+    st.builds(lambda v, i: {"@value": v, "@id": i}, _components,
+              _components),
+)
+
+
+@pytest.mark.parametrize("a,b,equal", [
+    (True, 1, False),
+    (1, 1.0, True),
+    ({"@value": True}, {"@value": 1}, False),
+    ({"@value": 1}, {"@value": 1.0}, True),
+    (_SHARED_NAN, _SHARED_NAN, True),          # the same object
+    (float("nan"), float("nan"), False),
+    ({"@value": _SHARED_NAN}, {"@value": _SHARED_NAN}, False),
+    ({"@value": 1, "@language": None}, {"@value": 1}, False),
+    ({"@value": "v", "@index": "i"}, {"@value": "v", "@index": "j"}, False),
+    ({"@value": "v", "@index": "i"}, {"@value": "v", "@index": "i"}, True),
+    ({"@id": "x"}, {"@id": "x", "other": 1}, True),
+    ({"@id": "x"}, {"@value": "x"}, False),
+    ({"@value": {"a": [1]}, "@type": "@json"},
+     {"@value": {"a": [1]}, "@type": "@json"}, False),
+    ({"@value": _SHARED_JSON, "@type": "@json"},
+     {"@value": _SHARED_JSON, "@type": "@json"}, True),
+    ({"@list": []}, {"@list": []}, False),
+])
+def test_value_key_cases(a, b, equal) -> None:
+    assert compare_values(a, b) is equal
+    assert (value_key(a) == value_key(b)) is equal
+    assert value_key(a) == value_key(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_keyed_values, min_size=1, max_size=6))
+def test_value_key_iff_compare_values(pool) -> None:
+    for a in pool:
+        for b in pool:
+            ka, kb = value_key(a), value_key(b)
+            assert ka is not None and kb is not None
+            assert (ka == kb) == compare_values(a, b), (a, b)
+            if ka == kb:
+                assert hash(ka) == hash(kb)
+
+
+def test_value_object_with_id_has_no_key() -> None:
+    assert value_key({"@value": 1, "@id": "x"}) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_values, max_size=4),
+       st.lists(st.tuples(st.sampled_from(["p", "q"]), _values),
+                max_size=12))
+def test_value_index_adds_what_add_value_adds(existing, adds) -> None:
+    # ``existing`` stands in for a list an earlier call left (it may hold
+    # duplicates); both subjects share every value object
+    ref, got = {"p": list(existing)}, {"p": list(existing)}
+    index = ValueIndex()
+    for prop, v in adds:
+        add_value(ref, prop, v, property_is_array=True, allow_duplicate=False)
+        index.add(got, prop, v)
+    assert list(ref) == list(got)
+    for prop in ref:
+        assert [id(v) for v in ref[prop]] == [id(v) for v in got[prop]]
+
+
+def _conversation(n_turns: int) -> list:
+    """An expanded conversation: one subject with n_turns hasTurn
+    references, each given twice, plus n_turns tag literals."""
+    turns = [{"@id": f"http://e/t{i}",
+              "http://e/text": [{"@value": f"turn {i}"}]}
+             for i in range(n_turns)]
+    return [{"@id": "http://e/c",
+             "http://e/hasTurn": turns + [{"@id": t["@id"]} for t in turns],
+             "http://e/tag": [{"@value": f"tag {i}"}
+                              for i in range(n_turns)]}]
+
+
+def _node_map_comparisons(monkeypatch, n_turns: int) -> int:
+    """compare_values calls made building and merging one conversation's
+    node map."""
+    calls = 0
+    real = util.compare_values
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(util, "compare_values", counting)
+        graphs: dict = {"@default": {}}
+        create_node_map(_conversation(n_turns), graphs, "@default",
+                        IdentifierIssuer("_:b"))
+        merged = merge_node_map_graphs(graphs)
+    conv = merged["http://e/c"]
+    assert len(conv["http://e/hasTurn"]) == n_turns
+    assert len(conv["http://e/tag"]) == n_turns
+    return calls
+
+
+def test_node_map_dedup_work_does_not_grow_with_turns(monkeypatch) -> None:
+    # util.js hasValue compares each added value with every value already
+    # there: O(N²) for N turns. Counting comparisons, not time, keeps the
+    # check exact on a loaded machine.
+    assert _node_map_comparisons(monkeypatch, 4 * 64) == \
+        _node_map_comparisons(monkeypatch, 64)
+
+
+def test_merge_suppresses_duplicates_across_documents() -> None:
+    # api.merge runs one create_node_map per document into the same map;
+    # values the first document added must still count as duplicates
+    got = api.merge([
+        {"@id": "http://e/s", "http://e/p": ["a", "b"],
+         "http://e/q": {"@id": "http://e/o"}},
+        {"@id": "http://e/s", "http://e/p": ["b", "c"],
+         "http://e/q": {"@id": "http://e/o"}},
+    ])
+    assert got == [{"@id": "http://e/s",
+                    "http://e/p": [{"@value": "a"}, {"@value": "b"},
+                                   {"@value": "c"}],
+                    "http://e/q": [{"@id": "http://e/o"}]}]
+    # @json literals still compare by identity: both copies stay
+    lit = {"@value": {"a": 1}, "@type": "@json"}
+    got = api.merge([{"@id": "http://e/s", "http://e/p": lit},
+                     {"@id": "http://e/s", "http://e/p": lit}])
+    assert got[0]["http://e/p"] == [lit, lit]
+
+
+# --- JS string order ---
+# ECMA-262: a String is a sequence of UTF-16 code units and .length counts
+# them (The String Type); IsLessThan compares two strings code unit by
+# code unit, and Array.prototype.sort's default SortCompare uses it. So
+# U+10000 (units D800 DC00) sorts before U+E000 (unit E000), although its
+# code point is larger, and its .length is 2.
+
+_BMP = "http://e/\ue000"
+_ASTRAL = "http://e/\U00010000"
+
+
+def test_js_sorted_orders_by_utf16_code_units() -> None:
+    assert js_sorted([_BMP, _ASTRAL, "http://e/"]) == \
+        ["http://e/", _ASTRAL, _BMP]
+    assert js_sorted({"b": 1, "a": 2}) == ["a", "b"]
+
+
+def test_to_rdf_labels_blank_nodes_in_js_key_order() -> None:
+    quads = api.to_rdf({"@id": "http://e/s",
+                        _BMP: {"http://e/v": "bmp"},
+                        _ASTRAL: {"http://e/v": "astral"}})
+    labels = {q[2][1]: q[0][1] for q in quads if q[1][1] == "http://e/v"}
+    assert labels == {"astral": "_:b0", "bmp": "_:b1"}
+
+
+def test_flatten_orders_nodes_in_js_id_order() -> None:
+    got = api.flatten([{"@id": _BMP, "http://e/p": "x"},
+                       {"@id": _ASTRAL, "http://e/p": "y"}])
+    assert [n["@id"] for n in got] == [_ASTRAL, _BMP]
+
+
+def test_compare_shortest_least_uses_js_length_and_order() -> None:
+    assert compare_shortest_least("\U00010000", "ab") == 1
+    assert compare_shortest_least("ab", "\U00010000") == -1
+    assert compare_shortest_least("\U00010000", "\ue000\ue000") == -1
+    assert compare_shortest_least("\U00010000", "abc") == -1
+
+
+def test_compact_term_choice_uses_js_length_and_order() -> None:
+    # equal JS length (2 units each): "ab" < "\ud800\udc00"
+    ctx = {"@context": {"\U00010000": "http://e/p", "ab": "http://e/p"}}
+    assert "ab" in api.compact({"http://e/p": "v"}, ctx)
+    ctx = {"@context": {"\U00010000": "http://e/a/", "ab": "http://e/a/"}}
+    assert "ab:x" in api.compact({"http://e/a/x": "v"}, ctx)
 
 # --- N-Quads ---
 
