@@ -276,6 +276,7 @@ def _q_kg_merged_node_props(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from jsonld_js_ray.pipelines import training_data as td
+    from jsonld_js_ray.stages import rank
 
     return {
         # KG construction (flagship)
@@ -311,6 +312,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_compact_roundtrip": _q_kg_compact_roundtrip,
         "kg_flatten_counts": _q_kg_flatten_counts,
         "kg_merged_node_props": _q_kg_merged_node_props,
+        "kg_resource_allocation": _q_kg_resource_allocation,
+        "kg_entity_lift": _q_kg_entity_lift,
         # training-data ops
         "dedup_exact": td.q_dedup_exact,
         "dedup_minhash": td.q_dedup_minhash_checked,
@@ -361,173 +364,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cms_token_counts": td.q_cms_token_counts,
         "multimodal_features": td.q_multimodal_features,
         "multimodal_audio": td.q_multimodal_audio,
-        # joins / sort-limit (relational operator classes)
-        "join_broadcast": _q_join_broadcast,
-        "join_bucketed": _q_join_bucketed,
-        "join_bloom_semi": _q_join_bloom_semi,
-        "join_salted": _q_join_salted,
-        "join_adaptive": _q_join_adaptive,
-        "user_set_ops": _q_user_set_ops,
-        "user_favorite_event": _q_user_favorite_event,
-        "event_type_pivot": _q_event_type_pivot,
-        "kmv_sketch_users": _q_kmv_sketch_users,
-        "join_anti": _q_join_anti,
-        "join_left": _q_join_left,
-        "join_full_outer": _q_join_full_outer,
-        "shipping_priority": _q_shipping_priority,
-        "local_supplier_revenue": _q_local_supplier_revenue,
-        "brand_revenue": _q_brand_revenue,
-        "join_asof": _q_join_asof,
-        "join_range": _q_join_range,
-        "topk_docs": _q_topk_docs,
-        "user_quantiles": _q_user_quantiles,
-        "user_quantiles_cont": _q_user_quantiles_cont,
-        "top_events_per_user": _q_top_events_per_user,
-        "user_running_totals": _q_user_running_totals,
-        "value_histogram": _q_value_histogram,
-        "range_partition_bounds": _q_range_partition_bounds,
-        "global_sort": _q_global_sort,
-        "skyline_events": _q_skyline_events,
-        "robust_outliers": _q_robust_outliers,
-        "rollup_events": _q_rollup_events,
-        "cube_events": _q_cube_events,
-        "cohort_retention": _q_cohort_retention,
-        "user_value_ntiles": _q_user_value_ntiles,
-        "user_value_deltas": _q_user_value_deltas,
-        "debounce_events": _q_debounce_events,
-        "props_extract": _q_props_extract,
-        "value_k_correlation": _q_value_k_correlation,
-        "ab_metrics": _q_ab_metrics,
-        "user_event_paths": _q_user_event_paths,
-        "event_transitions": _q_event_transitions,
-        "pricing_summary": _q_pricing_summary,
-        "kg_resource_allocation": _q_kg_resource_allocation,
-        "kg_entity_lift": _q_kg_entity_lift,
-        "funnel_stages": _q_funnel_stages,
-        "funnel_windowed": _q_funnel_windowed,
-        # streaming-shaped windowed aggregates (engine-only operators)
-        "window_tumbling": _q_window_tumbling,
-        "window_distinct_users": _q_window_distinct_users,
-        "window_distinct_users_hll": _q_window_distinct_users_hll,
-        "window_sliding": _q_window_sliding,
-        "window_session": _q_window_session,
-        "window_top_events": _q_window_top_events,
         "embed_quantize": _q_embed_quantize,
+        # per-user order statistics over the events table
+        "user_quantiles": rank.user_value_quantiles,
+        "user_quantiles_cont": rank.user_value_quantiles_cont,
+        "top_events_per_user": rank.top_events_per_user,
+        "user_running_totals": rank.user_running_totals,
+        "robust_outliers": rank.robust_outliers,
+        "user_value_ntiles": rank.user_value_ntiles,
+        "user_value_deltas": rank.user_value_deltas,
+        "debounce_events": rank.debounce_events,
+        "user_favorite_event": rank.user_favorite_event,
+        "user_event_paths": rank.user_event_paths,
+        "event_transitions": rank.event_transitions,
     }
-
-
-def _q_join_broadcast(sf_dir: str):
-    from jsonld_js_ray.stages.joins import broadcast_join_orders_customers
-
-    return broadcast_join_orders_customers(sf_dir)
-
-
-def _q_join_bucketed(sf_dir: str):
-    from jsonld_js_ray.stages.joins import bucketed_hash_join_lineitem_orders
-
-    return bucketed_hash_join_lineitem_orders(sf_dir)
-
-
-def _q_join_anti(sf_dir: str):
-    from jsonld_js_ray.stages.joins import (
-        anti_join_customers_without_orders,
-    )
-
-    return anti_join_customers_without_orders(sf_dir)
-
-
-def _q_join_asof(sf_dir: str):
-    from jsonld_js_ray.stages.joins import asof_join_clicks_before_purchases
-
-    return asof_join_clicks_before_purchases(sf_dir)
-
-
-def _q_join_range(sf_dir: str):
-    from jsonld_js_ray.stages.joins import range_join_clicks_within_hour
-
-    return range_join_clicks_within_hour(sf_dir)
-
-
-def _q_join_left(sf_dir: str):
-    from jsonld_js_ray.stages.joins import left_join_customer_order_stats
-
-    return left_join_customer_order_stats(sf_dir)
-
-
-def _q_user_running_totals(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_running_totals
-
-    return user_running_totals(sf_dir)
-
-
-def _q_value_histogram(sf_dir: str):
-    from jsonld_js_ray.stages.histo import value_histogram
-
-    return value_histogram(_events(sf_dir, ["value"]))
-
-
-def _q_range_partition_bounds(sf_dir: str):
-    from jsonld_js_ray.stages.histo import range_partition_bounds
-
-    return range_partition_bounds(sf_dir)
-
-
-def _q_global_sort(sf_dir: str):
-    from jsonld_js_ray.stages.histo import global_sort_events
-
-    return global_sort_events(sf_dir)
-
-
-def _q_skyline_events(sf_dir: str):
-    from jsonld_js_ray.stages.histo import skyline_events
-
-    return skyline_events(sf_dir)
-
-
-def _q_robust_outliers(sf_dir: str):
-    from jsonld_js_ray.stages.rank import robust_outliers
-
-    return robust_outliers(sf_dir)
-
-
-def _q_rollup_events(sf_dir: str):
-    from jsonld_js_ray.stages.rollup import rollup_events
-
-    return rollup_events(sf_dir)
-
-
-def _q_cube_events(sf_dir: str):
-    from jsonld_js_ray.stages.rollup import cube_events
-
-    return cube_events(sf_dir)
-
-
-def _q_cohort_retention(sf_dir: str):
-    from jsonld_js_ray.stages.cohort import cohort_retention
-
-    return cohort_retention(sf_dir)
-
-
-def _q_join_bloom_semi(sf_dir: str):
-    from jsonld_js_ray.stages.joins import (
-        bloom_semi_join_lineitem_urgent,
-    )
-
-    return bloom_semi_join_lineitem_urgent(sf_dir)
-
-
-def _q_join_salted(sf_dir: str):
-    from jsonld_js_ray.stages.joins import (
-        salted_skew_join_lineitem_orders,
-    )
-
-    return salted_skew_join_lineitem_orders(sf_dir)
-
-
-def _q_join_adaptive(sf_dir: str):
-    from jsonld_js_ray.stages.joins import adaptive_join_lineitem_high
-
-    return adaptive_join_lineitem_high(sf_dir)
 
 
 def _q_kg_assortativity(sf_dir: str):
@@ -577,30 +427,6 @@ def _random_walks_oracle() -> str:
     from jsonld_js_ray.stages.graph import _random_walks_oracle_sql
 
     return _random_walks_oracle_sql(KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
-
-
-def _q_debounce_events(sf_dir: str):
-    from jsonld_js_ray.stages.rank import debounce_events
-
-    return debounce_events(sf_dir)
-
-
-def _q_props_extract(sf_dir: str):
-    from jsonld_js_ray.stages.props import props_extract
-
-    return props_extract(sf_dir)
-
-
-def _q_ab_metrics(sf_dir: str):
-    from jsonld_js_ray.stages.ab import ab_metrics
-
-    return ab_metrics(sf_dir)
-
-
-def _q_value_k_correlation(sf_dir: str):
-    from jsonld_js_ray.stages.props import value_k_correlation
-
-    return value_k_correlation(sf_dir)
 
 
 def _q_kg_clustering(sf_dir: str):
@@ -654,42 +480,6 @@ def _jaccard_neighbors_oracle() -> str:
 
     return _jaccard_neighbors_oracle_sql(
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
-
-
-def _q_user_quantiles_cont(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_value_quantiles_cont
-
-    return user_value_quantiles_cont(sf_dir)
-
-
-def _q_user_event_paths(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_event_paths
-
-    return user_event_paths(sf_dir)
-
-
-def _q_event_transitions(sf_dir: str):
-    from jsonld_js_ray.stages.rank import event_transitions
-
-    return event_transitions(sf_dir)
-
-
-def _q_user_value_deltas(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_value_deltas
-
-    return user_value_deltas(sf_dir)
-
-
-def _q_user_value_ntiles(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_value_ntiles
-
-    return user_value_ntiles(sf_dir)
-
-
-def _q_pricing_summary(sf_dir: str):
-    from jsonld_js_ray.stages.rollup import pricing_summary
-
-    return pricing_summary(sf_dir)
 
 
 def _q_kg_entity_lift(sf_dir: str):
@@ -746,92 +536,6 @@ def _resource_allocation_oracle() -> str:
 
     return _resource_allocation_oracle_sql(
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
-
-
-def _q_user_quantiles(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_value_quantiles
-
-    return user_value_quantiles(sf_dir)
-
-
-def _q_top_events_per_user(sf_dir: str):
-    from jsonld_js_ray.stages.rank import top_events_per_user
-
-    return top_events_per_user(sf_dir)
-
-
-def _q_topk_docs(sf_dir: str):
-    from jsonld_js_ray.stages.joins import topk_docs_by_tokens
-
-    return topk_docs_by_tokens(sf_dir)
-
-
-def _events(sf_dir: str, columns):
-    import ray.data as rd
-
-    from jsonld_js_ray.rayutil import strip_meta
-
-    return rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=columns
-    ).map_batches(strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
-
-
-def _q_funnel_windowed(sf_dir: str):
-    from jsonld_js_ray.stages.funnel import funnel_stages_windowed
-
-    return funnel_stages_windowed(
-        _events(sf_dir, ["ts", "user_id", "event_type"]))
-
-
-def _q_funnel_stages(sf_dir: str):
-    from jsonld_js_ray.stages.funnel import funnel_stages
-
-    return funnel_stages(_events(sf_dir, ["ts", "user_id",
-                                          "event_type"]))
-
-
-def _q_window_tumbling(sf_dir: str):
-    from jsonld_js_ray.stages.windows import tumbling_window
-
-    return tumbling_window(_events(sf_dir, ["ts", "user_id", "value"]))
-
-
-def _q_window_distinct_users(sf_dir: str):
-    from jsonld_js_ray.stages.sketches import (
-        exact_distinct_users_per_window,
-    )
-
-    return exact_distinct_users_per_window(
-        _events(sf_dir, ["ts", "user_id"]))
-
-
-def _q_window_distinct_users_hll(sf_dir: str):
-    from jsonld_js_ray.stages.sketches import (
-        hll_distinct_users_per_window,
-    )
-
-    return hll_distinct_users_per_window(
-        _events(sf_dir, ["ts", "user_id"]))
-
-
-def _q_window_sliding(sf_dir: str):
-    from jsonld_js_ray.stages.windows import sliding_window
-
-    return sliding_window(_events(sf_dir, ["ts", "user_id"]))
-
-
-def _q_window_session(sf_dir: str):
-    from jsonld_js_ray.stages.windows import session_window
-
-    return session_window(_events(sf_dir, ["ts", "user_id"]))
-
-
-def _q_window_top_events(sf_dir: str):
-    from jsonld_js_ray.stages.windows import window_top_events
-
-    return window_top_events(
-        _events(sf_dir, ["ts", "event_type"]))
 
 
 def _q_embed_quantize(sf_dir: str):
@@ -924,66 +628,6 @@ def _property_unpivot_oracle() -> str:
     return property_unpivot_sql(KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
 
 
-def _q_user_set_ops(sf_dir: str):
-    from jsonld_js_ray.stages.joins import user_set_ops
-
-    return user_set_ops(sf_dir)
-
-
-def _q_user_favorite_event(sf_dir: str):
-    from jsonld_js_ray.stages.rank import user_favorite_event
-
-    return user_favorite_event(sf_dir)
-
-
-def _q_event_type_pivot(sf_dir: str):
-    from jsonld_js_ray.stages.pivot import event_type_pivot
-
-    return event_type_pivot(sf_dir)
-
-
-def _event_type_pivot_oracle() -> str:
-    from jsonld_js_ray.stages.pivot import event_type_pivot_sql
-
-    return event_type_pivot_sql()
-
-
-def _q_kmv_sketch_users(sf_dir: str):
-    from jsonld_js_ray.stages.sketches import kmv_sketch_users
-
-    return kmv_sketch_users(sf_dir)
-
-
-def _kmv_oracle() -> str:
-    from jsonld_js_ray.stages.sketches import kmv_sketch_sql
-
-    return kmv_sketch_sql()
-
-
-def _q_shipping_priority(sf_dir: str):
-    from jsonld_js_ray.stages.joins import shipping_priority
-
-    return shipping_priority(sf_dir)
-
-
-def _q_local_supplier_revenue(sf_dir: str):
-    from jsonld_js_ray.stages.tpch import local_supplier_revenue
-
-    return local_supplier_revenue(sf_dir)
-
-
-def _q_brand_revenue(sf_dir: str):
-    from jsonld_js_ray.stages.tpch import brand_revenue
-
-    return brand_revenue(sf_dir)
-
-
-def _q_join_full_outer(sf_dir: str):
-    from jsonld_js_ray.stages.joins import full_outer_join_clicks_purchases
-
-    return full_outer_join_clicks_purchases(sf_dir)
-
-
 def _q_kg_common_neighbors(sf_dir: str):
     from jsonld_js_ray.stages.graph import common_neighbors
 
@@ -1033,12 +677,6 @@ def _q_kg_degree_hist(sf_dir: str):
     quads, und, _ = _shared_graph_artifacts(sf_dir)
     return degree_histogram(quads, und=und,
                             deg=_shared_node_degrees(sf_dir))
-
-
-def _funnel_oracle() -> str:
-    from jsonld_js_ray.stages.funnel import FUNNEL_SQL
-
-    return FUNNEL_SQL
 
 
 def _degree_hist_oracle() -> str:
@@ -1118,37 +756,6 @@ def oracle_sql() -> dict[str, str]:
         TOKEN_COUNTS_SQL,
         curation_filter_sql,
     )
-    from jsonld_js_ray.stages.histo import (
-        GLOBAL_SORT_SQL,
-        RANGE_BOUNDS_SQL,
-        SKYLINE_SQL,
-        VALUE_HISTOGRAM_SQL,
-    )
-    from jsonld_js_ray.stages.cohort import COHORT_RETENTION_SQL
-    from jsonld_js_ray.stages.ab import AB_METRICS_SQL
-    from jsonld_js_ray.stages.props import (
-        PROPS_EXTRACT_SQL,
-        VALUE_K_CORRELATION_SQL,
-    )
-    from jsonld_js_ray.stages.tpch import (
-        BRAND_REVENUE_SQL,
-        LOCAL_SUPPLIER_REVENUE_SQL,
-    )
-    from jsonld_js_ray.stages.joins import (
-        ADAPTIVE_JOIN_SQL,
-        ANTI_JOIN_SQL,
-        ASOF_JOIN_SQL,
-        BLOOM_SEMI_JOIN_SQL,
-        BROADCAST_JOIN_SQL,
-        BUCKETED_JOIN_SQL,
-        SALTED_JOIN_SQL,
-        USER_SET_OPS_SQL,
-        FULL_OUTER_JOIN_SQL,
-        LEFT_JOIN_SQL,
-        SHIPPING_PRIORITY_SQL,
-        RANGE_JOIN_SQL,
-        TOPK_DOCS_SQL,
-    )
     from jsonld_js_ray.stages.dedup import EMBEDDING_DEDUP_SQL
     from jsonld_js_ray.stages.tfidf import (
         INVERTED_INDEX_SQL,
@@ -1157,37 +764,11 @@ def oracle_sql() -> dict[str, str]:
         LM_UNIGRAM_SCORE_SQL,
         TFIDF_TOPK_SQL,
     )
-    from jsonld_js_ray.stages.rank import (
-        DEBOUNCE_SQL,
-        EVENT_TRANSITIONS_SQL,
-        USER_FAVORITE_SQL,
-        ROBUST_OUTLIERS_SQL,
-        USER_QUANTILES_CONT_SQL,
-        USER_DELTAS_SQL,
-        USER_PATHS_SQL,
-        USER_NTILES_SQL,
-        RUNNING_TOTALS_SQL,
-        TOP_EVENTS_SQL,
-        USER_QUANTILES_SQL,
-    )
-    from jsonld_js_ray.stages.rollup import (
-        CUBE_EVENTS_SQL,
-        PRICING_SUMMARY_SQL,
-        ROLLUP_EVENTS_SQL,
-    )
-    from jsonld_js_ray.stages.funnel import FUNNEL_WINDOWED_SQL
-    from jsonld_js_ray.stages.sketches import WINDOW_DISTINCT_USERS_SQL
-    from jsonld_js_ray.stages.windows import (
-        SESSION_WINDOW_SQL,
-        SLIDING_WINDOW_SQL,
-        TUMBLING_WINDOW_SQL,
-        WINDOW_TOP_EVENTS_SQL,
-    )
-
     from jsonld_js_ray.stages.entity_merge import (
         _entities_canonical_planted_sql,
         _entities_canonical_sql,
     )
+    from jsonld_js_ray.stages import rank
 
     return {
         "transcripts": TRANSCRIPTS_ORACLE_SQL,
@@ -1277,6 +858,10 @@ def oracle_sql() -> dict[str, str]:
             "WITH transcripts AS (" + TRANSCRIPTS_ORACLE_SQL + ") "
             "SELECT conv_id, CAST(count(*) + 1 AS BIGINT) AS n_nodes "
             "FROM transcripts GROUP BY conv_id"),
+        # degree-weighted link prediction (exact fixed-point Σ 1/deg)
+        "kg_resource_allocation": _resource_allocation_oracle(),
+        # conversation-level co-mention lift (statistical link proposal)
+        "kg_entity_lift": _entity_lift_oracle(),
         "dedup_exact": DEDUP_EXACT_SQL,
         # RAW dedup rows: exact ground-truth SQL (word/char Jaccard
         # closure; simhash recomputed bit-exactly in SQL via the
@@ -1371,107 +956,33 @@ def oracle_sql() -> dict[str, str]:
         "lm_bigram_score": LM_BIGRAM_SCORE_SQL,
         # held-out stupid-backoff LM (trained on even doc_ids only)
         "lm_backoff_score": LM_BACKOFF_SCORE_SQL,
-        "window_tumbling": TUMBLING_WINDOW_SQL,
-        "window_distinct_users": WINDOW_DISTINCT_USERS_SQL,
-        "window_sliding": SLIDING_WINDOW_SQL,
-        "window_session": SESSION_WINDOW_SQL,
-        # windowed rank: top-n event types per tumbling window
-        "window_top_events": WINDOW_TOP_EVENTS_SQL,
         # symmetric int8 embedding quantization (3 IEEE doubles both
         # sides; max-abs scale is order-free → hash-exact)
         "embed_quantize": EMBED_QUANTIZE_SQL,
         "dedup_embedding": EMBEDDING_DEDUP_SQL,
-        "join_broadcast": BROADCAST_JOIN_SQL,
-        "join_bucketed": BUCKETED_JOIN_SQL,
-        # partitioned hash ANTI join (NOT EXISTS / set difference)
-        "join_anti": ANTI_JOIN_SQL,
-        # partitioned hash LEFT OUTER join (NULL-preserving branch)
-        "join_left": LEFT_JOIN_SQL,
-        # partitioned hash FULL OUTER join (both sides optional)
-        "join_full_outer": FULL_OUTER_JOIN_SQL,
-        # 3-table broadcast+bucketed join with partial top-k (Q3 shape)
-        "shipping_priority": SHIPPING_PRIORITY_SQL,
-        # 6-table star join (Q5 shape): broadcast dims + two bucketed
-        # fact hops + same-nation predicate
-        "local_supplier_revenue": LOCAL_SUPPLIER_REVENUE_SQL,
-        # lineitem ⋈ part dimension broadcast (brand rollup)
-        "brand_revenue": BRAND_REVENUE_SQL,
-        "join_asof": ASOF_JOIN_SQL,
-        "join_range": RANGE_JOIN_SQL,
-        "topk_docs": TOPK_DOCS_SQL,
-        "user_quantiles": USER_QUANTILES_SQL,
-        # interpolated (continuous) quantiles — bit-exact lerp mirror
-        "user_quantiles_cont": USER_QUANTILES_CONT_SQL,
-        "top_events_per_user": TOP_EVENTS_SQL,
-        # per-user cumulative window (ROWS UNBOUNDED PRECEDING)
-        "user_running_totals": RUNNING_TOTALS_SQL,
-        # fixed-width float histogram (bit-identical IEEE bin ids)
-        "value_histogram": VALUE_HISTOGRAM_SQL,
-        # sampled range-partition boundaries (the TeraSort primitive)
-        "range_partition_bounds": RANGE_BOUNDS_SQL,
-        # full TeraSort: range-partitioned global total order with
-        # exact row_number ranks (sample → route once → local sort)
-        "global_sort": GLOBAL_SORT_SQL,
-        # 2-D skyline / Pareto maxima (dominance anti-self-join
-        # mirror; distributed via the skyline-of-skylines algebra)
-        "skyline_events": SKYLINE_SQL,
-        # per-user median/MAD anomaly flag (quantile_disc + IEEE ops)
-        "robust_outliers": ROBUST_OUTLIERS_SQL,
-        # GROUP BY ROLLUP cascade (all grouping-set prefixes, one read)
-        "rollup_events": ROLLUP_EVENTS_SQL,
-        # GROUP BY CUBE (all four grouping sets, pinned finest level)
-        "cube_events": CUBE_EVENTS_SQL,
-        # cohort-retention matrix (first-day cohorts × day offsets)
-        "cohort_retention": COHORT_RETENTION_SQL,
-        # Bloom-prefiltered partitioned SEMI join (exact post-verify)
-        "join_bloom_semi": BLOOM_SEMI_JOIN_SQL,
-        # salted hot-key join (row-salt probe, R-replicated build —
-        # identical semantics to the unsalted inner join)
-        "join_salted": SALTED_JOIN_SQL,
-        # size-adaptive join (broadcast vs partitioned picked from the
-        # measured build side; both plans oracle-identical)
-        "join_adaptive": ADAPTIVE_JOIN_SQL,
-        # INTERSECT / EXCEPT set operators over distinct user sets
-        "user_set_ops": USER_SET_OPS_SQL,
-        # grouped MODE (argmax count, min-type ties) per user
-        "user_favorite_event": USER_FAVORITE_SQL,
-        # relational PIVOT / FILTER-clause counts per user × type
-        "event_type_pivot": _event_type_pivot_oracle(),
-        # KMV bottom-k distinct sketch — the md5 contract makes the
-        # sketch itself SQL-mirrorable (ORDER BY md5 LIMIT K)
-        "kmv_sketch_users": _kmv_oracle(),
-        # per-(user, type) burst debounce (LAG gap filter, 5-min gap)
-        "debounce_events": DEBOUNCE_SQL,
-        # JSON payload field extraction (RE2 both sides) + aggregates
-        "props_extract": PROPS_EXTRACT_SQL,
-        # exact integer cross-moments (Pearson r is reader-side)
-        "value_k_correlation": VALUE_K_CORRELATION_SQL,
-        # A/B experiment readout: md5-assigned variants, exact integer
-        # moments (Σ cents, Σ cents²) per (variant, type) cell
-        "ab_metrics": AB_METRICS_SQL,
-        # NTILE window (per-user quartile bucketing, deterministic ties)
-        "user_value_ntiles": USER_NTILES_SQL,
-        # LAG window (consecutive per-user value deltas, NULL first row)
-        "user_value_deltas": USER_DELTAS_SQL,
-        # ordered string_agg (per-user session path export)
-        "user_event_paths": USER_PATHS_SQL,
-        # Markov transition counts over per-user ordered streams
-        "event_transitions": EVENT_TRANSITIONS_SQL,
-        # TPC-H-Q1-shaped read-prune + partial aggregate (exact cents)
-        "pricing_summary": PRICING_SUMMARY_SQL,
-        # degree-weighted link prediction (exact fixed-point Σ 1/deg)
-        "kg_resource_allocation": _resource_allocation_oracle(),
-        # conversation-level co-mention lift (statistical link proposal)
-        "kg_entity_lift": _entity_lift_oracle(),
         # canonical lowercase/alnum-collapsed text (RE2 both sides)
         "normalize_text": NORMALIZE_TEXT_SQL,
-        # strict-after chained stage mins (sequential pattern match)
-        "funnel_stages": _funnel_oracle(),
-        # conversion-window funnel (chain bounded by start + 7 days)
-        "funnel_windowed": FUNNEL_WINDOWED_SQL,
+        "user_quantiles": rank.USER_QUANTILES_SQL,
+        # interpolated (continuous) quantiles — bit-exact lerp mirror
+        "user_quantiles_cont": rank.USER_QUANTILES_CONT_SQL,
+        "top_events_per_user": rank.TOP_EVENTS_SQL,
+        # per-user cumulative window (ROWS UNBOUNDED PRECEDING)
+        "user_running_totals": rank.RUNNING_TOTALS_SQL,
+        # per-user median/MAD anomaly flag (quantile_disc + IEEE ops)
+        "robust_outliers": rank.ROBUST_OUTLIERS_SQL,
+        # NTILE window (per-user quartile bucketing, deterministic ties)
+        "user_value_ntiles": rank.USER_NTILES_SQL,
+        # LAG window (consecutive per-user value deltas, NULL first row)
+        "user_value_deltas": rank.USER_DELTAS_SQL,
+        # per-(user, type) burst debounce (LAG gap filter, 5-min gap)
+        "debounce_events": rank.DEBOUNCE_SQL,
+        # grouped MODE (argmax count, min-type ties) per user
+        "user_favorite_event": rank.USER_FAVORITE_SQL,
+        # ordered string_agg (per-user session path export)
+        "user_event_paths": rank.USER_PATHS_SQL,
+        # Markov transition counts over per-user ordered streams
+        "event_transitions": rank.EVENT_TRANSITIONS_SQL,
         # No oracle (not SQL-expressible → driver rows-only check):
-        #   window_distinct_users_hll (approximate sketch — its error
-        #     bound is pinned vs the exact oracled twin in pytest),
         #   cms_token_counts (Count-Min sketch — one-sided bound
         #     est >= exact and est-exact <= eN/W asserted exactly vs
         #     the exact top-k twin in pytest),

@@ -1,7 +1,10 @@
 """Benchmark harness (driver contract).
 
-Default: run the headline pipelines on $GRAFT_SF_DIR (default sf0.1) with
-ray.init(num_cpus=$RAY_GRAFT_CPUS or 32) and print ONE JSON line.
+Default: time the headline pipeline and the registered queries on
+$GRAFT_SF_DIR (default sf0.1) with ray.init(num_cpus=$RAY_GRAFT_CPUS,
+default os.cpu_count()). The full record, with every query's wall
+time, goes to RECORD_PATH; the last stdout line is a compact JSON
+object: the headline figures plus the record's path.
 
 --scaling: run the headline pipeline in fresh subprocesses at TWO
 cpu pairs on the same replicated input — the criterion pair
@@ -29,7 +32,12 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count() or 1))
+RECORD_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "bench_record.json")
+HEADLINE_KEYS = ("metric", "value", "unit", "quads", "turns",
+                 "triples_per_sec", "turns_per_sec", "kg_quads_runs",
+                 "num_cpus", "sf")
 
 
 def _warm_cache(sf_dir: str) -> None:
@@ -228,20 +236,10 @@ def run_bench() -> dict:
     property_table(quads_m).count()
     queries["kg_property_table"] = round(time.perf_counter() - t0, 3)
 
-    from jsonld_js_ray.stages.joins import full_outer_join_clicks_purchases
-    t0 = time.perf_counter()
-    full_outer_join_clicks_purchases(SF_DIR).count()
-    queries["join_full_outer"] = round(time.perf_counter() - t0, 3)
-
     from jsonld_js_ray.stages.graph import resource_allocation
     t0 = time.perf_counter()
     resource_allocation(quads_m, und=und_m).count()
     queries["kg_resource_allocation"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.joins import shipping_priority
-    t0 = time.perf_counter()
-    shipping_priority(SF_DIR).count()
-    queries["shipping_priority"] = round(time.perf_counter() - t0, 3)
 
     from jsonld_js_ray.pipelines.kg import entity_lift
     t0 = time.perf_counter()
@@ -249,73 +247,11 @@ def run_bench() -> dict:
                 ce=_entry._shared_conv_entity_mentions(SF_DIR)).count()
     queries["kg_entity_lift"] = round(time.perf_counter() - t0, 3)
 
-    from jsonld_js_ray.stages.histo import range_partition_bounds
-    t0 = time.perf_counter()
-    range_partition_bounds(SF_DIR).count()
-    queries["range_partition_bounds"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import robust_outliers
-    t0 = time.perf_counter()
-    robust_outliers(SF_DIR).count()
-    queries["robust_outliers"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rollup import pricing_summary, rollup_events
-    t0 = time.perf_counter()
-    rollup_events(SF_DIR).count()
-    queries["rollup_events"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    pricing_summary(SF_DIR).count()
-    queries["pricing_summary"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import user_value_deltas, user_value_ntiles
-    t0 = time.perf_counter()
-    user_value_ntiles(SF_DIR).count()
-    queries["user_value_ntiles"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    user_value_deltas(SF_DIR).count()
-    queries["user_value_deltas"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import user_value_quantiles_cont
-    t0 = time.perf_counter()
-    user_value_quantiles_cont(SF_DIR).count()
-    queries["user_quantiles_cont"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import event_transitions, user_event_paths
-    t0 = time.perf_counter()
-    user_event_paths(SF_DIR).count()
-    queries["user_event_paths"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    event_transitions(SF_DIR).count()
-    queries["event_transitions"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.cohort import cohort_retention
-    t0 = time.perf_counter()
-    cohort_retention(SF_DIR).count()
-    queries["cohort_retention"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.joins import bloom_semi_join_lineitem_urgent
-    t0 = time.perf_counter()
-    bloom_semi_join_lineitem_urgent(SF_DIR).count()
-    queries["join_bloom_semi"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rollup import cube_events
-    t0 = time.perf_counter()
-    cube_events(SF_DIR).count()
-    queries["cube_events"] = round(time.perf_counter() - t0, 3)
-
     from jsonld_js_ray.stages.graph import clustering_quads
     t0 = time.perf_counter()
     clustering_quads(quads_m, und=und_m, directed=directed_m,
                      deg=deg_m).count()
     queries["kg_clustering"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.histo import global_sort_events
-    t0 = time.perf_counter()
-    global_sort_events(SF_DIR).count()
-    queries["global_sort"] = round(time.perf_counter() - t0, 3)
 
     from jsonld_js_ray.stages.graph import (
         jaccard_neighbors,
@@ -328,31 +264,6 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     jaccard_neighbors(quads_m, und=und_m, deg=deg_m).count()
     queries["kg_jaccard_neighbors"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.joins import salted_skew_join_lineitem_orders
-    t0 = time.perf_counter()
-    salted_skew_join_lineitem_orders(SF_DIR).count()
-    queries["join_salted"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import debounce_events
-    t0 = time.perf_counter()
-    debounce_events(SF_DIR).count()
-    queries["debounce_events"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.props import props_extract
-    t0 = time.perf_counter()
-    props_extract(SF_DIR).count()
-    queries["props_extract"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.ab import ab_metrics
-    t0 = time.perf_counter()
-    ab_metrics(SF_DIR).count()
-    queries["ab_metrics"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.joins import adaptive_join_lineitem_high
-    t0 = time.perf_counter()
-    adaptive_join_lineitem_high(SF_DIR).count()
-    queries["join_adaptive"] = round(time.perf_counter() - t0, 3)
 
     from jsonld_js_ray.stages.graph import assortativity_moments_quads
     t0 = time.perf_counter()
@@ -374,77 +285,23 @@ def run_bench() -> dict:
     property_unpivot(quads_m).count()
     queries["kg_property_unpivot"] = round(time.perf_counter() - t0, 3)
 
-    from jsonld_js_ray.stages.joins import user_set_ops
-    t0 = time.perf_counter()
-    user_set_ops(SF_DIR).count()
-    queries["user_set_ops"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.rank import user_favorite_event
-    t0 = time.perf_counter()
-    user_favorite_event(SF_DIR).count()
-    queries["user_favorite_event"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.sketches import kmv_sketch_users
-    t0 = time.perf_counter()
-    kmv_sketch_users(SF_DIR).count()
-    queries["kmv_sketch_users"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.pivot import event_type_pivot
-    t0 = time.perf_counter()
-    event_type_pivot(SF_DIR).count()
-    queries["event_type_pivot"] = round(time.perf_counter() - t0, 3)
-
-    import __ray_entry__ as _e
-    from jsonld_js_ray.stages.windows import window_top_events
-    t0 = time.perf_counter()
-    window_top_events(_e._events(SF_DIR, ["ts", "event_type"])).count()
-    queries["window_top_events"] = round(time.perf_counter() - t0, 3)
-
     from jsonld_js_ray.stages.cluster import embed_quantize
     t0 = time.perf_counter()
     embed_quantize(SF_DIR).count()
     queries["embed_quantize"] = round(time.perf_counter() - t0, 3)
 
-    from jsonld_js_ray.stages.props import value_k_correlation
-    t0 = time.perf_counter()
-    value_k_correlation(SF_DIR).count()
-    queries["value_k_correlation"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.histo import skyline_events
-    t0 = time.perf_counter()
-    skyline_events(SF_DIR).count()
-    queries["skyline_events"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.tpch import (
-        brand_revenue,
-        local_supplier_revenue,
-    )
-    # drop dataset refs from the preceding ~40 queries before the
-    # broadcast-heavy TPC-H joins: measured 1.5× in-bench vs solo on
-    # local_supplier_revenue when it inherits a hot object store
-    gc.collect()
-    t0 = time.perf_counter()
-    local_supplier_revenue(SF_DIR).count()
-    queries["local_supplier_revenue"] = round(
-        time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    brand_revenue(SF_DIR).count()
-    queries["brand_revenue"] = round(time.perf_counter() - t0, 3)
-
-    # time the same input pipeline the oracled query uses
-    import __ray_entry__ as _entry
-    t0 = time.perf_counter()
-    _entry.queries()["funnel_stages"](SF_DIR).count()
-    queries["funnel_stages"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    _entry.queries()["funnel_windowed"](SF_DIR).count()
-    queries["funnel_windowed"] = round(time.perf_counter() - t0, 3)
-
     t0 = time.perf_counter()
     _entry.queries()["cms_token_counts"](SF_DIR)
     queries["cms_token_counts"] = round(time.perf_counter() - t0, 3)
+
+    # per-user order statistics over events (stages/rank.py)
+    for name in ("robust_outliers", "user_value_ntiles", "user_value_deltas",
+                 "user_quantiles_cont", "user_event_paths",
+                 "event_transitions", "debounce_events",
+                 "user_favorite_event"):
+        t0 = time.perf_counter()
+        _entry.queries()[name](SF_DIR).count()
+        queries[name] = round(time.perf_counter() - t0, 3)
 
     # optional training-data ops (present from later milestones)
     try:
@@ -463,7 +320,7 @@ def run_bench() -> dict:
     extras["turns_per_sec"] = round(n_turns / headline, 1)
 
     ray.shutdown()
-    return {
+    record = {
         "metric": "kg_quads pipeline wall time (events->transcripts->"
                   "JSON-LD->expand->toRDF->URDNA2015 quads)",
         "value": round(headline, 3),
@@ -473,6 +330,10 @@ def run_bench() -> dict:
         "num_cpus": NUM_CPUS,
         **extras,
     }
+    with open(RECORD_PATH, "w") as f:
+        json.dump(record, f, indent=1)
+    return {**{k: record[k] for k in HEADLINE_KEYS if k in record},
+            "record": RECORD_PATH}
 
 
 SCALING_COPIES = int(os.environ.get("GRAFT_SCALING_COPIES", "32"))

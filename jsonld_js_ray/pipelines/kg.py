@@ -5,7 +5,7 @@ Stages (all lazy Ray Data; the streaming executor pipelines them):
   read_parquet(events)                      — column-pruned read
     → groupby(user_id).map_groups(          — THE one shuffle: turn
         derive_and_assemble_events_group)     derivation + doc assembly
-    → map_batches(ToRdfActor, actors)       — expand + nodeMap + toRDF +
+    → map_batches(to_rdf_task_fn)           — expand + nodeMap + toRDF +
                                               URDNA2015 per conversation
     → quad table (Arrow)                    — FIXTURES.md §2 schema
 
@@ -21,7 +21,6 @@ import time
 from typing import Any
 
 from ..stages.assemble import derive_and_assemble_events_group
-from ..stages.to_rdf_stage import QUAD_SCHEMA, ToRdfActor  # noqa: F401
 from ..state import checkpoint as ckpt
 
 
@@ -52,17 +51,13 @@ def assemble_docs(sf_dir: str, files: list[str] | None = None):
 def build_quads(sf_dir: str, files: list[str] | None = None,
                 concurrency: int | tuple | None = None,
                 batch_size: int = 256,
-                canonicalize: bool = True,
-                compute: str = "tasks",
                 skip_errors: bool = False):
     """Full lazy pipeline: events → docs → canonical quad Dataset.
 
-    ``compute='tasks'`` (default) runs the ToRdf stage as elastic tasks
-    with a per-worker-process singleton holding the context caches —
-    measured 2-3x faster than an autoscaling actor pool at this state
-    size (see stages/to_rdf_stage.to_rdf_task_fn). ``compute='actors'``
-    uses an explicit pool (for expensive per-worker state); NEVER size a
-    fixed pool to the whole cluster — it starves the upstream shuffle.
+    The ToRdf stage runs as elastic tasks with a per-worker-process
+    singleton holding the context caches — measured 2-3x faster than an
+    autoscaling actor pool at this state size (see
+    stages/to_rdf_stage.to_rdf_task_fn).
 
     ``batch_size`` counts CONVERSATIONS per batch (one row each after
     assembly) — moderate so a giant conversation cannot stall a block
@@ -73,17 +68,7 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     from ..stages.to_rdf_stage import to_rdf_task_fn
 
     docs = assemble_docs(sf_dir, files)
-    if compute == "actors":
-        kwargs: dict[str, Any] = {
-            "batch_format": "pyarrow",
-            "batch_size": batch_size,
-            "fn_constructor_kwargs": {"canonicalize": canonicalize,
-                                      "skip_errors": skip_errors},
-            "concurrency": concurrency if concurrency else (1, 8),
-        }
-        return docs.map_batches(ToRdfActor, **kwargs)
-    fn = functools.partial(to_rdf_task_fn, canonicalize=canonicalize,
-                           skip_errors=skip_errors)
+    fn = functools.partial(to_rdf_task_fn, skip_errors=skip_errors)
     task_kwargs: dict[str, Any] = {"batch_format": "pyarrow",
                                    "batch_size": batch_size}
     if concurrency is not None:
@@ -170,14 +155,13 @@ def build_quads_with_mentions(sf_dir: str,
     mapping_ref = ray.put(canonical_mapping) if canonical_mapping else None
     fn = functools.partial(_derive_link_assemble, mapping_ref=mapping_ref)
     docs = events.groupby("user_id").map_groups(fn, batch_format="pyarrow")
+    task_kwargs: dict[str, Any] = {"batch_format": "pyarrow",
+                                   "batch_size": batch_size}
     if concurrency is not None:
-        return docs.map_batches(
-            ToRdfActor, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs={"skip_errors": skip_errors})
+        task_kwargs["concurrency"] = concurrency
     return docs.map_batches(
         functools.partial(to_rdf_task_fn, skip_errors=skip_errors),
-        batch_format="pyarrow", batch_size=batch_size)
+        **task_kwargs)
 
 
 

@@ -62,17 +62,3 @@ def strip_meta(t: pa.Table) -> pa.Table:
     reader maps this over its blocks. ONE implementation; a behavior
     change here reaches all read sites."""
     return t.replace_schema_metadata(None)
-
-
-def read_small_pandas(sf_dir: str, table: str, columns,
-                      filter=None):
-    """Driver-side read of a BROADCAST-SMALL dimension table straight
-    through pyarrow.dataset — no Ray job. The broadcast-small contract
-    is the caller's (these tables are driver-materialized by design,
-    SCALE.md broadcast table); routing the read through a Ray Dataset
-    only added a full per-query job startup (~0.3-0.5 s) for a
-    25-row - 15k-row parquet."""
-    import pyarrow.dataset as pads
-
-    ds = pads.dataset(f"{sf_dir}/{table}.parquet")
-    return ds.to_table(columns=columns, filter=filter).to_pandas()

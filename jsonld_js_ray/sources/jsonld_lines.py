@@ -131,7 +131,6 @@ def read_docs_jsonld_lines(paths, file_extensions=("jsonl", "ndjson",
 
 
 def build_quads_from_jsonld_lines(paths, batch_size: int = 256,
-                                  canonicalize: bool = True,
                                   skip_errors: bool = False,
                                   file_extensions=("jsonl", "ndjson",
                                                    "json")):
@@ -149,14 +148,12 @@ def build_quads_from_jsonld_lines(paths, batch_size: int = 256,
     failures exactly as in to_rdf_task_fn."""
     from ..stages.to_rdf_stage import rows_from_parsed_task_fn
 
-    def fused(batch: pa.Table, _c=canonicalize,
-              _s=skip_errors) -> pa.Table:
+    def fused(batch: pa.Table, _s=skip_errors) -> pa.Table:
         ids, docs = [], []
         for cid, doc, _line in _scan_lines(batch["text"].to_pylist()):
             ids.append(cid)
             docs.append(doc)
-        return rows_from_parsed_task_fn(ids, docs, canonicalize=_c,
-                                        skip_errors=_s)
+        return rows_from_parsed_task_fn(ids, docs, skip_errors=_s)
 
     return _read_lines(paths, file_extensions).map_batches(
         fused, batch_format="pyarrow", batch_size=batch_size)

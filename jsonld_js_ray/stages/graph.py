@@ -1388,7 +1388,7 @@ def random_walks_quads(quads, walk_len: int = WALK_LEN, und=None):
 
     steps = []
     for t in range(1, walk_len + 1):
-        # adaptive (the joins.py join_adaptive philosophy): a small
+        # adaptive (size-picked broadcast vs shuffle join): a small
         # frontier ships its KEY SET once via ray.put and prefilters
         # the successor scan (ids only — never the walker state, which
         # stays a Dataset end to end); a vocab-scale frontier falls

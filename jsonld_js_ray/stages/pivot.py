@@ -139,65 +139,3 @@ SELECT subj AS node, pred, min(obj_value) AS val
 FROM q WHERE pred IN ({in_list})
 GROUP BY subj, pred
 """
-
-
-# --- relational PIVOT over the events stream (FILTER-clause class) ---
-# The events-side sibling of the quad property pivot: one row per
-# user with a count column per event type — what SQL spells
-# count(*) FILTER (WHERE event_type = ...). The type vocabulary is
-# part of the operator contract (fixed columns, mirrored in SQL);
-# unknown types count into none of them.
-
-EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def event_type_pivot(sf_dir: str,
-                     types: tuple[str, ...] = EVENT_TYPES):
-    """events → (user_id, n_<type>...): per-user event counts, one
-    column per type in the fixed vocabulary."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..rayutil import strip_meta as _strip_meta
-
-    tix = {t: i for i, t in enumerate(types)}
-    k = len(types)
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"],
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        users = batch["user_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        # factorize against the FIXED vocabulary (unknown → -1):
-        # the Python lookup runs over the BATCH-distinct types only
-        uet, ecodes = np.unique(et, return_inverse=True)
-        lut = np.array([tix.get(t, -1) for t in uet], np.int64)
-        codes = lut[ecodes]
-        uniq, ucodes = np.unique(users, return_inverse=True)
-        n = len(uniq)
-        cols = {"user_id": pa.array(uniq)}
-        for t, i in tix.items():
-            m = codes == i
-            cols[f"n_{t}"] = pa.array(
-                np.bincount(ucodes[m], minlength=n).astype(np.int64))
-        return pa.table(cols)
-
-    return events.map_batches(partial, batch_format="pyarrow",
-                              batch_size=65536) \
-        .groupby("user_id").aggregate(
-            *[Sum(f"n_{t}", alias_name=f"n_{t}") for t in types])
-
-
-def event_type_pivot_sql(types: tuple[str, ...] = EVENT_TYPES) -> str:
-    cols = ",\n       ".join(
-        f"CAST(count(*) FILTER (WHERE event_type = '{t}') AS BIGINT)"
-        f" AS n_{t}" for t in types)
-    return f"""
-SELECT CAST(user_id AS BIGINT) AS user_id,
-       {cols}
-FROM events GROUP BY user_id
-"""

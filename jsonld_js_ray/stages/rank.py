@@ -25,9 +25,9 @@ RANK_SHARDS = 64
 def _enc_nulls_last(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """NULL-safe key encoding whose LEXICOGRAPHIC order matches
     DuckDB's default `ORDER BY col` (values ascending, NULLS LAST):
-    'v' + value, bare 'w' for NULL. rollup._enc can't be reused here —
-    its 'n' prefix sorts BEFORE 'v', i.e. NULLS FIRST, which flips the
-    mode tie-break for a user whose NULL-typed count ties a value."""
+    'v' + value, bare 'w' for NULL. NULLS LAST matters: NULLS FIRST
+    would flip the mode tie-break for a user whose NULL-typed count ties
+    a value."""
     import pyarrow.compute as pc
     vals = col.to_numpy(zero_copy_only=False)
     isnull = pc.is_null(
@@ -606,8 +606,7 @@ def user_favorite_event(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         users = batch["user_id"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        # NULLS-LAST encoding (not rollup._enc, which is NULLS-first
-        # by its 'n' < 'v' prefixes): the mode tie-break below sorts
+        # NULLS-LAST encoding: the mode tie-break below sorts
         # encoded types ascending, and DuckDB's default null order in
         # `ORDER BY event_type` is NULLS LAST — 'w' > 'v'+anything
         # keeps a genuine NULL type losing every tie, exactly as SQL

@@ -1,30 +1,16 @@
-"""Sketch operators: HyperLogLog distinct counting per window.
+"""Hashing and the Count-Min token-frequency sketch.
 
-The standard streaming-cardinality shape: per-batch PARTIAL state —
-SPARSE (window, register, max-ρ) rows, never more rows than the raw
-input and collapsing as duplicates repeat — one coarse-shard shuffle,
-register-wise max merge inside each shard, then the HLL estimate. The
-exact twin
-(``window_distinct_users``) uses the same two-phase distinct pattern as
-``pipelines.kg.quad_stats`` and carries the SQL oracle; the sketch's
-error bound (±1.04/√m) is pinned by a pytest against the exact result.
-
-HLL (public algorithm, Flajolet et al. 2007): register j = max over
-items hashing to j of (1 + leading-zero-count of the remaining hash
-bits); estimate = α·m²/Σ2^(−M_j) with the standard small-range
-(linear-counting) correction.
+``_hash64`` is the shared deterministic 64-bit key mix (splitmix64
+finalizer); dedup, n-gram, entity-merge and training-data stages all
+hash through it. ``cms_token_counts`` is the Count-Min sketch over
+corpus term frequencies, with ``exact_top_tokens`` as its exact twin
+and probe-set source.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-HLL_P = 12                       # 4096 registers → ~1.6% std error
-HLL_M = 1 << HLL_P
-SKETCH_SHARDS = 64
-
-_ALPHA = 0.7213 / (1 + 1.079 / HLL_M)    # α_m for m ≥ 128
 
 
 def _hash64(values: np.ndarray) -> np.ndarray:
@@ -35,151 +21,8 @@ def _hash64(values: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _rho(hashes: np.ndarray) -> np.ndarray:
-    """1 + leading zero count of the (64-p)-bit suffix, vectorized."""
-    w = hashes << np.uint64(HLL_P)           # drop the register index
-    w |= np.uint64(1 << (HLL_P - 1))         # sentinel: ρ ≤ 64-p+1
-    # leading zeros via float64 exponent trick is lossy; use bit scan:
-    rho = np.ones(len(w), dtype=np.uint8)
-    mask = np.uint64(1) << np.uint64(63)
-    cur = w.copy()
-    # vectorized loop over at most 64-p bit positions
-    alive = np.ones(len(w), dtype=bool)
-    for _ in range(64 - HLL_P + 1):
-        top_zero = alive & ((cur & mask) == 0)
-        rho[top_zero] += 1
-        alive = top_zero
-        if not alive.any():
-            break
-        cur = cur << np.uint64(1)
-    return rho
-
-
-def _partial_registers(batch: pa.Table) -> pa.Table:
-    """(window_id, user_id) rows → SPARSE partial rows
-    (shard, window_id, reg_idx, rho): per batch, the max ρ seen for
-    each touched (window, register) pair — one vectorized sort +
-    segment-max; row count ≤ input rows (dense 2^p blobs per window
-    would shuffle more than the raw keys for sparse windows)."""
-    win = batch["window_id"].to_numpy(zero_copy_only=False).astype(
-        np.int64)
-    users = batch["user_id"].to_numpy(zero_copy_only=False).astype(
-        np.int64)
-    h = _hash64(users)
-    reg_idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    rho = _rho(h)
-
-    key = win * HLL_M + reg_idx          # windows ≪ 2^51 → no overflow
-    order = np.lexsort((-rho.astype(np.int64), key))
-    key, win, reg_idx, rho = (key[order], win[order], reg_idx[order],
-                              rho[order])
-    first = np.concatenate([[True], key[1:] != key[:-1]])
-    win, reg_idx, rho = win[first], reg_idx[first], rho[first]
-    return pa.table({
-        "shard": pa.array((win % SKETCH_SHARDS).astype(np.int32)),
-        "window_id": pa.array(win, pa.int64()),
-        "reg_idx": pa.array(reg_idx.astype(np.int32)),
-        "rho": pa.array(rho.astype(np.uint8)),
-    })
-
-
-def _estimate(regs: np.ndarray) -> int:
-    m = float(HLL_M)
-    est = _ALPHA * m * m / np.sum(np.exp2(-regs.astype(np.float64)))
-    if est <= 2.5 * m:
-        zeros = int((regs == 0).sum())
-        if zeros:
-            est = m * np.log(m / zeros)      # linear counting
-    return int(round(est))
-
-
-def _merge_shard(g):
-    """One shard's sparse partial rows → (window_id, n_users_hll)."""
-    out_win, out_est = [], []
-    for win, sub in g.groupby("window_id", sort=False):
-        merged = np.zeros(HLL_M, dtype=np.uint8)
-        np.maximum.at(merged,
-                      sub["reg_idx"].to_numpy().astype(np.int64),
-                      sub["rho"].to_numpy().astype(np.uint8))
-        out_win.append(int(win))
-        out_est.append(_estimate(merged))
-    return pa.table({
-        "window_id": pa.array(out_win, pa.int64()),
-        "n_users_hll": pa.array(out_est, pa.int64()),
-    })
-
-
-def _window_user_rows(events, width_s: int = 3600):
-    import pyarrow.compute as pc
-
-    def to_windows(batch: pa.Table) -> pa.Table:
-        # float-divide the raw microseconds then floor ONCE: a
-        # truncating integer /1e6 first would round pre-epoch
-        # fractional seconds toward zero, off-by-one vs the oracle's
-        # floor(epoch(ts)/width) (int64 µs ≪ 2^53 → float64 is exact)
-        win = pc.cast(pc.floor(pc.divide(
-            batch["ts"].cast(pa.int64()).cast(pa.float64()),
-            float(width_s) * 1e6)), pa.int64())
-        return pa.table({"window_id": win, "user_id": batch["user_id"]})
-
-    return events.map_batches(to_windows, batch_format="pyarrow",
-                              batch_size=65536)
-
-
-def hll_distinct_users_per_window(events, width_s: int = 3600):
-    """events → (window_id, n_users_hll): HyperLogLog cardinality per
-    tumbling window. Registers are the only shuffled state."""
-    rows = _window_user_rows(events, width_s)
-    partials = rows.map_batches(_partial_registers,
-                                batch_format="pyarrow",
-                                batch_size=65536)
-    return partials.groupby("shard").map_groups(
-        _merge_shard, batch_format="pandas")
-
-
-def exact_distinct_users_per_window(events, width_s: int = 3600):
-    """Exact twin: two-phase (window, user) dedup → per-window count —
-    same skew-proof shape as pipelines.kg.quad_stats; SQL-oracled."""
-    from ray.data.aggregate import Sum
-
-    rows = _window_user_rows(events, width_s)
-
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["window_id", "user_id"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"window_id": g["window_id"],
-                         "user_id": g["user_id"]})
-
-    pairs = rows.map_batches(pair_partials, batch_format="pyarrow",
-                             batch_size=65536)
-    from ray.data.aggregate import Count
-
-    uniq = pairs.groupby(["window_id", "user_id"]).aggregate(
-        Count(alias_name="_n")).drop_columns(["_n"])
-
-    def per_window_partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["window_id"]).aggregate([([], "count_all")])
-        return pa.table({
-            "window_id": g["window_id"],
-            "n_users": g["count_all"].cast(pa.int64()),
-        })
-
-    return uniq.map_batches(per_window_partial, batch_format="pyarrow",
-                            batch_size=65536).groupby(
-        "window_id").aggregate(Sum("n_users", alias_name="n_users"))
-
-
-WINDOW_DISTINCT_USERS_SQL = """
-SELECT CAST(floor(epoch(ts) / 3600) AS BIGINT) AS window_id,
-       CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-FROM events
-GROUP BY CAST(floor(epoch(ts) / 3600) AS BIGINT)
-"""
-
-
 # --- Count-Min sketch: heavy-hitter token counts (Cormode &
-# Muthukrishnan 2005, public algorithm). The frequency-sketch
-# counterpart of the HLL cardinality sketch above: D hash rows × W
+# Muthukrishnan 2005, public algorithm): D hash rows × W
 # counters; add(token, tf) increments one counter per row;
 # est(token) = min over rows — NEVER an underestimate, and
 # overestimates by at most εN (ε = e/W) with probability 1−δ
@@ -275,62 +118,3 @@ def exact_top_tokens(docs, k: int = 20):
     top = totals.sort(["n", "token"],
                       descending=[True, False]).limit(k).to_pandas()
     return list(top["token"]), dict(zip(top["token"], top["n"]))
-
-
-# --- KMV (bottom-k) distinct sketch over users ---
-# The third sketch family (HLL counts, CMS frequencies, KMV here):
-# keep the K smallest hash values of the distinct key set — a
-# MERGEABLE summary (union = merge + re-truncate) whose k-th value
-# estimates the distinct count as (K-1)/h_k. The repo twist: the
-# hash is the deterministic md5 contract, so the SKETCH ITSELF is
-# SQL-mirrorable (ORDER BY md5 LIMIT K) and the driver gate checks it
-# hash-exactly — the estimator arithmetic is reader-side float and
-# never hashed. Per-batch bottom-K partials bound the shuffle at
-# K rows per block; the final merge touches ≤ K × blocks rows.
-
-KMV_K = 64
-
-
-def kmv_sketch_users(sf_dir: str, k: int = KMV_K):
-    """events → (rank, h): the K lexicographically-smallest md5 hex
-    digests of the distinct user_id set, ranked 1..K."""
-    import hashlib
-
-    import ray.data as rd
-
-    from ..rayutil import strip_meta as _strip_meta
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id"],
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        users = np.unique(
-            batch["user_id"].to_numpy(zero_copy_only=False))
-        hs = np.sort(np.array(
-            [hashlib.md5(str(u).encode()).hexdigest()
-             for u in users], object))[:k]
-        return pa.table({"h": pa.array(hs, pa.string())})
-
-    # ≤ K rows per block reach the driver; cross-block duplicates of
-    # the same user hash collapse in the final unique
-    parts = np.concatenate([
-        b["h"].to_numpy(zero_copy_only=False)
-        for b in events.map_batches(
-            partial, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow")] or [np.zeros(0, object)])
-    bottom = np.unique(parts.astype(str))[:k]
-    return rd.from_arrow(pa.table({
-        "rank": pa.array(np.arange(1, len(bottom) + 1,
-                                   dtype=np.int64)),
-        "h": pa.array(bottom, pa.string()),
-    }))
-
-
-def kmv_sketch_sql(k: int = KMV_K) -> str:
-    return f"""
-SELECT CAST(row_number() OVER (ORDER BY h) AS BIGINT) AS rank, h
-FROM (SELECT DISTINCT md5(CAST(user_id AS VARCHAR)) AS h FROM events)
-ORDER BY h LIMIT {k}
-"""

@@ -13,7 +13,7 @@ Shape (two shuffles, both hash-partitioned, no driver-side state):
    vocabulary is corpus-sized and must never be broadcast).
 3. per-batch partial top-k per doc (bounds the second shuffle at k rows
    per doc per batch), then a doc-shard groupby with one lexsort per
-   shard — same pattern as stages/rank.py.
+   shard.
 
 Ranking is INTEGER arithmetic so the DuckDB oracle is exact: the tf/df
 ratio is ordered by score_key = (tf * 10^12) // df (floor division on

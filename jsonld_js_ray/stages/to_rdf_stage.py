@@ -1,9 +1,9 @@
-"""ExpandToRdf actor stage: JSON-LD docs → Arrow quad batches.
+"""ExpandToRdf stage: JSON-LD docs → Arrow quad batches.
 
-THE flagship per-document map (SURVEY.md §2.1 toRDF row): a callable
-class for ``map_batches(..., concurrency=N)`` — an actor pool whose
-per-worker state is the processed-context cache (the reference's
-resolved-context LRU, lib/jsonld.js:86-89, lives per actor here).
+THE flagship per-document map (SURVEY.md §2.1 toRDF row), run as Ray
+tasks through ``to_rdf_task_fn``. A per-worker-process ``ToRdfActor``
+singleton holds the processed-context cache (the reference's
+resolved-context LRU, lib/jsonld.js:86-89, lives per worker here).
 
 Per document: expand → node map → quads (lib/toRdf.js semantics) →
 URDNA2015 canonical blank-node labels → conv-scoped label namespace
@@ -40,37 +40,32 @@ QUAD_SCHEMA = pa.schema([
 _WORKER_SINGLETON: "ToRdfActor | None" = None
 
 
-def to_rdf_task_fn(batch: pa.Table, canonicalize: bool = True,
-                   skip_errors: bool = False) -> pa.Table:
+def to_rdf_task_fn(batch: pa.Table, skip_errors: bool = False) -> pa.Table:
     """Task-pool variant of the ToRdf stage: a per-WORKER-PROCESS
     singleton holds the context caches (Ray reuses worker processes, so
     state stays warm across tasks like an actor, but scheduling remains
     elastic — no pool ramp-up, no CPU reservation starving the shuffle).
 
     Measured on sf0.1/32cpus: tasks 4.4s vs autoscaling actor pool
-    9-13s. Actor mode (``build_quads(compute='actors')``) remains for
-    genuinely expensive per-worker state (real linker models)."""
-    return _worker_actor(canonicalize, skip_errors)(batch)
+    9-13s."""
+    return _worker_actor(skip_errors)(batch)
 
 
-def _worker_actor(canonicalize: bool, skip_errors: bool) -> "ToRdfActor":
+def _worker_actor(skip_errors: bool) -> "ToRdfActor":
     global _WORKER_SINGLETON
     if _WORKER_SINGLETON is None or \
-            _WORKER_SINGLETON.canonicalize != canonicalize or \
             _WORKER_SINGLETON.skip_errors != skip_errors:
-        _WORKER_SINGLETON = ToRdfActor(canonicalize=canonicalize,
-                                       skip_errors=skip_errors)
+        _WORKER_SINGLETON = ToRdfActor(skip_errors=skip_errors)
     return _WORKER_SINGLETON
 
 
 def rows_from_parsed_task_fn(conv_ids: list, docs: list,
-                             canonicalize: bool = True,
                              skip_errors: bool = False) -> pa.Table:
     """Task-pool ToRdf over ALREADY-PARSED documents (the fused
     line-connector path: the reader derives conv_id from the parsed
     line and hands the object straight in, so each document's JSON
     parses exactly once end-to-end)."""
-    return _worker_actor(canonicalize, skip_errors).rows_from_docs(
+    return _worker_actor(skip_errors).rows_from_docs(
         conv_ids, docs, parsed=True)
 
 
@@ -85,11 +80,8 @@ def _namespace_label(label: str, fp: str) -> str:
 class ToRdfActor:
     """(conv_id, doc_json) batches → quad-table batches."""
 
-    def __init__(self, canonicalize: bool = True,
-                 namespace_bnodes: bool = True,
-                 rdf_direction: str | None = None,
+    def __init__(self, namespace_bnodes: bool = True,
                  skip_errors: bool = False) -> None:
-        self.canonicalize = canonicalize
         self.namespace_bnodes = namespace_bnodes
         # poison-pill quarantine: with skip_errors=True a document that
         # fails (malformed JSON-LD, canonicalization complexity limit)
@@ -104,7 +96,6 @@ class ToRdfActor:
             "base": "",
             "processingMode": "json-ld-1.1",
             "contextResolver": self.resolver,
-            "rdfDirection": rdf_direction,
         }
         self._initial_ctx = _ctx.ActiveContext(self.options)
 
@@ -118,9 +109,8 @@ class ToRdfActor:
             expanded = []
         if not isinstance(expanded, list):
             expanded = [expanded]
-        quads = _to_rdf.to_rdf(expanded, self.options)
-        if self.canonicalize:
-            quads = _canonize.relabel_dataset(quads)
+        quads = _canonize.relabel_dataset(
+            _to_rdf.to_rdf(expanded, self.options))
         if self.namespace_bnodes:
             fp = conv_fingerprint(conv_id)
             quads = [

@@ -1,8 +1,7 @@
-"""Round-4 ADVICE regression tests: loud overflow guards in
-ab_metrics, NULL-safe event_type keys in ab_metrics /
-user_favorite_event, and NaN parity for the histo SQL mirrors.
+"""user_favorite_event regression test: a NULL event_type groups as
+SQL NULL in the mode argmax and sorts last in its tie-break.
 
-Each test drives the REAL query callable against a DuckDB oracle on
+The test drives the REAL query callable against a DuckDB oracle on
 the same parquet file (the reference's golden-comparison test style,
 tests/test-common.js:747-760)."""
 
@@ -10,26 +9,9 @@ from __future__ import annotations
 
 import datetime as dt
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
-
-
-def _write_events(tmp_path, event_type, value, n=None):
-    n = n if n is not None else len(event_type)
-    tbl = pa.table({
-        "event_id": pa.array(range(n), pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1, 0, 0, i % 60)
-                        for i in range(n)], pa.timestamp("us")),
-        "user_id": pa.array([i % 3 + 1 for i in range(n)], pa.int64()),
-        "event_type": pa.array(event_type, pa.string()),
-        "value": pa.array(value, pa.float64()),
-        "props": pa.array([""] * n, pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    return tbl
 
 
 def _oracle(tmp_path, sql):
@@ -49,43 +31,6 @@ def _assert_frames(mine: pd.DataFrame, orc: pd.DataFrame):
     a = mine[cols].sort_values(cols).reset_index(drop=True)
     b = orc[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-
-
-def test_ab_metrics_null_event_type(ray_session, tmp_path):
-    """A NULL event_type cell groups as SQL NULL, never as the
-    literal string 'None' (ADVICE r4 #2)."""
-    import __ray_entry__ as E
-    from jsonld_js_ray.stages.ab import ab_metrics
-
-    _write_events(tmp_path,
-                  ["click", None, "click", None, "view", None],
-                  [1.0, 2.0, 3.0, None, 5.0, 6.0])
-    mine = ab_metrics(str(tmp_path)).to_pandas()
-    orc = _oracle(tmp_path, E.oracle_sql()["ab_metrics"])
-    _assert_frames(mine, orc)
-    # the NULL-typed cells are real groups with NULL (not 'None') keys
-    assert mine["event_type"].isna().any()
-    assert not (mine["event_type"] == "None").any()
-
-
-def test_ab_metrics_cents_square_guard(ray_session, tmp_path):
-    """|cents| past 2^31 raises BEFORE squaring can wrap int64
-    (ADVICE r4 #1): 2^32 cents would square to ≡ 0 silently."""
-    from jsonld_js_ray.stages.ab import ab_metrics
-
-    _write_events(tmp_path, ["click"] * 2, [1.0, float(2 ** 32) / 100])
-    with pytest.raises(Exception, match="cents"):
-        ab_metrics(str(tmp_path)).to_pandas()
-
-
-def test_ab_metrics_cents_cast_guard(ray_session, tmp_path):
-    """|value| past the exact-cents int64 cast range raises loudly
-    (DuckDB raises on the same cast), instead of wrapping."""
-    from jsonld_js_ray.stages.ab import ab_metrics
-
-    _write_events(tmp_path, ["click"] * 2, [1.0, 1.0e17])
-    with pytest.raises(Exception, match="cents"):
-        ab_metrics(str(tmp_path)).to_pandas()
 
 
 def test_user_favorite_null_event_type(ray_session, tmp_path):
@@ -117,29 +62,3 @@ def test_user_favorite_null_event_type(ray_session, tmp_path):
     byu = mine.set_index("user_id")["fav_event"]
     assert byu[1] == "click"
     assert pd.isna(byu[2]) and pd.isna(byu[3])
-
-
-def test_histo_nan_parity(ray_session, tmp_path):
-    """A literal NaN float (distinct from parquet NULL) is dropped by
-    BOTH sides of value_histogram and global_sort (ADVICE r4 #3 —
-    DuckDB's CAST(floor(NaN)) errors without the isnan filter)."""
-    import ray.data as rd
-
-    import __ray_entry__ as E
-    from jsonld_js_ray.stages.histo import (global_sort_events,
-                                            value_histogram)
-
-    _write_events(tmp_path, ["click"] * 5,
-                  [1.0, float("nan"), None, 2.5, float("nan")])
-
-    events = rd.read_parquet(str(tmp_path / "events.parquet"),
-                             columns=["value"])
-    mine_h = value_histogram(events).to_pandas()
-    orc_h = _oracle(tmp_path, E.oracle_sql()["value_histogram"])
-    _assert_frames(mine_h, orc_h)
-    assert int(mine_h["n_events"].sum()) == 2   # NaN+NULL rows gone
-
-    mine_s = global_sort_events(str(tmp_path)).to_pandas()
-    orc_s = _oracle(tmp_path, E.oracle_sql()["global_sort"])
-    _assert_frames(mine_s, orc_s)
-    assert len(mine_s) == 2

@@ -256,75 +256,6 @@ def test_sorted_lookup_matches_isin(build, probes):
         assert (bk[idx[hit]] == pr[hit]).all()
 
 
-@settings(deadline=None)   # first DuckDB connect can exceed 200 ms
-@given(st.lists(st.tuples(
-    st.floats(0.0, 10**5, allow_nan=False),
-    st.floats(0.0, 0.99, allow_nan=False)), min_size=1, max_size=50))
-def test_revenue_cents_matches_duckdb(rows):
-    """The shared money kernel is bit-identical to its SQL mirror on
-    arbitrary price/discount doubles (the hash-exact contract)."""
-    import duckdb
-    import numpy as np
-    import pandas as pd
-
-    from jsonld_js_ray.stages.joins import (
-        rev_cents_sql_expr,
-        revenue_cents,
-    )
-
-    df = pd.DataFrame(rows, columns=["l_extendedprice", "l_discount"])
-    got = revenue_cents(df["l_extendedprice"].to_numpy(),
-                        df["l_discount"].to_numpy())
-    con = duckdb.connect()
-    con.register("l", df)
-    want = con.sql(
-        f"SELECT {rev_cents_sql_expr('l')} AS c FROM l"
-    ).df()["c"].to_numpy(np.int64)
-    assert (got == want).all()
-
-
-@given(st.lists(st.integers(0, 2**62), min_size=1, max_size=200,
-                unique=True))
-def test_bloom_never_false_negative(keys):
-    import numpy as np
-
-    from jsonld_js_ray.stages.joins import (
-        BLOOM_M_BITS,
-        _bloom_positions,
-        _bloom_test,
-    )
-
-    ks = np.array(keys, np.int64)
-    words = np.zeros(BLOOM_M_BITS // 64, np.uint64)
-    pos = _bloom_positions(ks).ravel()
-    np.bitwise_or.at(words, (pos >> np.uint64(6)).astype(np.int64),
-                     np.uint64(1) << (pos & np.uint64(63)))
-    assert _bloom_test(words, ks).all()
-
-
-@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                min_size=1, max_size=60))
-def test_skyline_frontier_matches_bruteforce(pts):
-    import numpy as np
-
-    from jsonld_js_ray.stages.histo import _frontier_2d
-
-    x = np.array([p[0] for p in pts], np.int64)
-    y = np.array([p[1] for p in pts], np.int64)
-    ids = np.arange(len(pts), dtype=np.int64)
-    fi, _, _ = _frontier_2d(ids, x, y)
-    # brute-force dominance reference
-    want = set()
-    for i in range(len(pts)):
-        dominated = any(
-            (x[j] >= x[i] and y[j] >= y[i])
-            and (x[j] > x[i] or y[j] > y[i])
-            for j in range(len(pts)))
-        if not dominated:
-            want.add(i)
-    assert set(fi.tolist()) == want
-
-
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
                           st.integers(1, 5)),
                 min_size=1, max_size=60))

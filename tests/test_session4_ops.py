@@ -1,10 +1,11 @@
-"""Round-3 session-4 operators: cohort retention, Bloom semi-join,
-CUBE grouping sets, per-node clustering coefficient (semantics +
-DuckDB oracle parity at sf0.001; the driver re-checks at sf0.01)."""
+"""Graph operators over the KG quad table: clustering coefficient,
+truss support, Jaccard neighbors, assortativity, neighbor sampling,
+random walks, property unpivot, plus embedding quantization and the
+debounce / favorite-event rank operators (semantics + DuckDB oracle
+parity at sf0.001; the driver re-checks at sf0.01)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -25,79 +26,6 @@ def _parity(E, q, sf_dir, views):
     return a
 
 
-def test_cohort_retention_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "cohort_retention", sf_dir, ("events",))
-    assert (a["day_offset"] >= 0).all()
-    # Σ over the offset-0 cells = total distinct users (every user is
-    # active on their own cohort day exactly once)
-    n_users = duckdb.sql(
-        f"SELECT count(DISTINCT user_id) FROM "
-        f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert a[a["day_offset"] == 0]["n_users"].sum() == n_users
-    # retention can never exceed the cohort's size
-    day0 = a[a["day_offset"] == 0].set_index("cohort_day")["n_users"]
-    assert (a["n_users"] <= a["cohort_day"].map(day0)).all()
-
-
-def test_bloom_filter_kernel():
-    from jsonld_js_ray.stages.joins import (
-        BLOOM_M_BITS,
-        _bloom_positions,
-        _bloom_test,
-    )
-
-    rng = np.random.default_rng(7)
-    members = rng.integers(0, 1 << 40, size=5000)
-    others = rng.integers(1 << 41, 1 << 42, size=20000)
-    words = np.zeros(BLOOM_M_BITS // 64, np.uint64)
-    pos = _bloom_positions(members).ravel()
-    np.bitwise_or.at(words, (pos >> np.uint64(6)).astype(np.int64),
-                     np.uint64(1) << (pos & np.uint64(63)))
-    # NO false negatives (correctness invariant the semi-join's
-    # exactness rests on) ...
-    assert _bloom_test(words, members).all()
-    # ... and a low false-positive rate (the volume-cut guarantee):
-    # k=4, n=5k, m=1M bits → theory ~1.1e-5; allow generous slack
-    fp = _bloom_test(words, others).mean()
-    assert fp < 0.01
-
-
-def test_join_bloom_semi_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "join_bloom_semi", sf_dir,
-                ("orders", "lineitem"))
-    # the semi join keeps a strict subset of all lineitems
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/lineitem.parquet'").fetchone()[0]
-    assert 0 < a["n_items"].sum() < n_all
-
-
-def test_cube_events_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "cube_events", sf_dir, ("events",))
-    # all four grouping sets present, with consistent totals
-    fine = a[a["event_type"].notna() & a["day"].notna()]
-    by_type = a[a["event_type"].notna() & a["day"].isna()]
-    by_day = a[a["event_type"].isna() & a["day"].notna()]
-    total = a[a["event_type"].isna() & a["day"].isna()]
-    assert len(total) == 1
-    n = int(total["n_events"].iloc[0])
-    assert fine["n_events"].sum() == n
-    assert by_type["n_events"].sum() == n
-    assert by_day["n_events"].sum() == n
-    assert fine["total_cents"].sum() == int(total["total_cents"].iloc[0])
-
-
 def test_kg_clustering_oracle_parity_sf(ray_session, sf_dir):
     import __ray_entry__ as E
 
@@ -109,24 +37,6 @@ def test_kg_clustering_oracle_parity_sf(ray_session, sf_dir):
     # the conv KG is bipartite-ish (conv→turn→entity, no closing
     # edges) so its triangle count is genuinely 0 — the nonzero path
     # is exercised by test_kg_clustering_semantics below
-
-
-def test_global_sort_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "global_sort", sf_dir, ("events",))
-    # ranks are the exact permutation 1..n ...
-    n = len(a)
-    r = np.sort(a["rank"].to_numpy(np.int64))
-    assert (r == np.arange(1, n + 1)).all()
-    # ... and the key is globally nondecreasing in rank order
-    by_rank = a.sort_values("rank")
-    assert (np.diff(by_rank["cents"].to_numpy(np.int64)) >= 0).all()
-    # ties broken by event_id within equal keys
-    c = by_rank["cents"].to_numpy(np.int64)
-    e = by_rank["event_id"].to_numpy(np.int64)
-    same = np.diff(c) == 0
-    assert (np.diff(e)[same] > 0).all()
 
 
 def test_kg_clustering_semantics(ray_session):
@@ -216,37 +126,6 @@ def test_kg_jaccard_neighbors_semantics(ray_session):
     }
 
 
-def test_join_salted_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "join_salted", sf_dir, ("orders", "lineitem"))
-    # identical semantics to the plain inner join: per-status totals
-    # must add up to the whole lineitem table (every order exists)
-    import duckdb
-
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/lineitem.parquet'").fetchone()[0]
-    assert a["n_items"].sum() == n_all
-
-
-def test_join_salted_spreads_hot_key():
-    """A manufactured hot key (90% of probe rows on one orderkey)
-    must spread across multiple salt sub-buckets — the whole point of
-    the operator."""
-    import numpy as np
-
-    from jsonld_js_ray.stages.joins import SALT_R
-    from jsonld_js_ray.stages.sketches import _hash64
-
-    ok = np.full(9000, 42, np.int64)
-    ln = np.arange(9000, dtype=np.int64)
-    salt = (_hash64(ok * np.int64(8) + ln)
-            % np.uint64(SALT_R)).astype(np.int64)
-    counts = np.bincount(salt, minlength=SALT_R)
-    assert (counts > 0).all()              # every sub-bucket used
-    assert counts.max() < 9000 * 0.25      # no sub-bucket hogs it
-
-
 def test_debounce_events_oracle_parity_sf(ray_session, sf_dir):
     import duckdb
 
@@ -281,113 +160,6 @@ def test_debounce_events_semantics(ray_session, tmp_path):
     ev.to_parquet(f"{d}/events.parquet")
     out = debounce_events(d).to_pandas()
     assert sorted(out["event_id"]) == [1, 4, 5]
-
-
-def test_props_extract_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "props_extract", sf_dir, ("events",))
-    # every event carries a parseable k in this generator
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert a["n"].sum() == n_all
-    assert (a["min_k"] <= a["max_k"]).all()
-
-
-def test_props_extract_skips_unparseable(ray_session, tmp_path):
-    import pandas as pd
-
-    from jsonld_js_ray.stages.props import props_extract
-
-    ev = pd.DataFrame({
-        "event_type": ["click", "click", "view"],
-        "props": ['{"k": 7}', '{"other": 1}', '{"k": -3}'],
-    })
-    d = str(tmp_path)
-    ev.to_parquet(f"{d}/events.parquet")
-    out = props_extract(d).to_pandas().set_index("event_type")
-    assert out.loc["click"]["n"] == 1          # unparseable dropped
-    assert out.loc["click"]["sum_k"] == 7
-    assert out.loc["view"]["min_k"] == -3      # negatives parse
-
-
-def test_local_supplier_revenue_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "local_supplier_revenue", sf_dir,
-                ("region", "nation", "customer", "supplier",
-                 "orders", "lineitem"))
-    # the same-nation predicate is selective but not vacuous
-    assert len(a) >= 1
-    assert (a["rev_cents"] > 0).all()
-
-
-def test_brand_revenue_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "brand_revenue", sf_dir, ("part", "lineitem"))
-    # every lineitem's part exists (TPC-H referential integrity)
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/lineitem.parquet'").fetchone()[0]
-    assert a["n_items"].sum() == n_all
-
-
-def test_ab_metrics_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "ab_metrics", sf_dir, ("events",))
-    # both variants populated, every event counted exactly once
-    assert set(a["variant"]) == {"A", "B"}
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert a["n_events"].sum() == n_all
-    # Cauchy–Schwarz sanity: n·Σx² >= (Σx)² per cell
-    assert (a["n_events"] * a["sum_sq_cents"]
-            >= a["sum_cents"] ** 2).all()
-
-
-def test_ab_assignment_is_user_stable(ray_session, sf_dir):
-    """Every user lands in exactly one variant (assignment is a pure
-    function of user_id)."""
-    import pandas as pd
-
-    from jsonld_js_ray.stages.ab import AB_THRESHOLD
-    from jsonld_js_ray.stages.text import _md5_unit_interval
-
-    ev = pd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id"])
-    u = _md5_unit_interval([str(x) for x in ev["user_id"]])
-    v = np.where(u < AB_THRESHOLD, "A", "B")
-    per_user = pd.DataFrame({"u": ev["user_id"], "v": v}) \
-        .groupby("u")["v"].nunique()
-    assert (per_user == 1).all()
-
-
-def test_join_adaptive_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "join_adaptive", sf_dir, ("orders", "lineitem"))
-    assert len(a) >= 1 and (a["n_items"] > 0).all()
-
-
-def test_join_adaptive_plans_agree(ray_session, sf_dir):
-    """Forcing the partitioned fallback (broadcast_max=0) must give
-    bit-identical results to the broadcast plan."""
-    import pandas as pd
-
-    from jsonld_js_ray.stages.joins import adaptive_join_lineitem_high
-
-    bc = adaptive_join_lineitem_high(sf_dir).to_pandas() \
-        .sort_values("status").reset_index(drop=True)
-    bk = adaptive_join_lineitem_high(sf_dir, broadcast_max=0) \
-        .to_pandas().sort_values("status").reset_index(drop=True)
-    pd.testing.assert_frame_equal(bc, bk)
 
 
 def test_kg_assortativity_oracle_parity_sf(ray_session, sf_dir):
@@ -468,16 +240,6 @@ def test_kg_property_unpivot_roundtrips_pivot(ray_session, sf_dir):
     assert len(long) == n_cells
 
 
-def test_user_set_ops_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "user_set_ops", sf_dir, ("events",))
-    # each user appears in exactly one relation class
-    assert not a.duplicated("user_id").any()
-    assert set(a["relation"]) <= {"both", "click_only",
-                                  "purchase_only"}
-
-
 def test_user_favorite_event_oracle_parity_sf(ray_session, sf_dir):
     import duckdb
 
@@ -493,69 +255,6 @@ def test_user_favorite_event_oracle_parity_sf(ray_session, sf_dir):
     assert (a["n"] >= 1).all()
 
 
-def test_kmv_sketch_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    from jsonld_js_ray.stages.sketches import KMV_K
-
-    a = _parity(E, "kmv_sketch_users", sf_dir, ("events",))
-    assert len(a) <= KMV_K
-    # hashes strictly ascending by rank (the bottom-k invariant)
-    by_rank = a.sort_values("rank")["h"].tolist()
-    assert by_rank == sorted(by_rank)
-    assert len(set(by_rank)) == len(by_rank)
-
-
-def test_kmv_estimator_is_sane(ray_session, sf_dir):
-    """(K−1)/h_K estimates the distinct-user count within a loose
-    KMV error band (the reader-side arithmetic the sketch enables)."""
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = E.queries()["kmv_sketch_users"](sf_dir).to_pandas() \
-        .sort_values("rank")
-    k = len(a)
-    n_users = duckdb.sql(
-        f"SELECT count(DISTINCT user_id) FROM "
-        f"'{sf_dir}/events.parquet'").fetchone()[0]
-    if k < n_users:        # sketch saturated → estimator applies
-        u_k = int(a["h"].iloc[-1][:8], 16) / float(1 << 32)
-        est = (k - 1) / u_k
-        assert 0.4 * n_users < est < 2.5 * n_users
-    else:                  # small corpus: sketch IS the exact set
-        assert k == n_users
-
-
-def test_event_type_pivot_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "event_type_pivot", sf_dir, ("events",))
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/events.parquet'").fetchone()[0]
-    # every event lands in exactly one type column
-    count_cols = [c for c in a.columns if c.startswith("n_")]
-    assert a[count_cols].to_numpy().sum() == n_all
-    assert not a.duplicated("user_id").any()
-
-
-def test_window_top_events_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    from jsonld_js_ray.stages.windows import WINDOW_TOP_N
-
-    a = _parity(E, "window_top_events", sf_dir, ("events",))
-    # ranks dense from 1, at most N per window, counts nonincreasing
-    per_w = a.groupby("window_id")
-    assert (per_w["rank"].min() == 1).all()
-    assert (per_w["rank"].count() <= WINDOW_TOP_N).all()
-    by = a.sort_values(["window_id", "rank"])
-    same_w = by["window_id"].diff() == 0
-    assert (by["n_events"].diff()[same_w] <= 0).all()
-
-
 def test_embed_quantize_oracle_parity_sf(ray_session, sf_dir):
     import __ray_entry__ as E
 
@@ -563,58 +262,6 @@ def test_embed_quantize_oracle_parity_sf(ray_session, sf_dir):
     # int8 range by construction, and the max-abs coordinate hits ±127
     assert a["q"].between(-127, 127).all()
     assert a["q"].abs().max() == 127
-
-
-def test_value_k_correlation_oracle_parity_sf(ray_session, sf_dir):
-    import numpy as np
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "value_k_correlation", sf_dir, ("events",))
-    # the reader-side Pearson r derived from the exact moments is a
-    # valid correlation for every cell
-    n = a["n"].to_numpy(float)
-    cov = n * a["s_xy"] - a["s_x"] * a["s_y"]
-    vx = n * a["s_x2"] - a["s_x"] ** 2
-    vy = n * a["s_y2"] - a["s_y"] ** 2
-    assert (vx >= 0).all() and (vy >= 0).all()
-    nz = (vx > 0) & (vy > 0)          # degenerate cells have no r
-    if nz.any():
-        r = cov[nz] / np.sqrt(vx[nz] * vy[nz])
-        assert np.abs(r).max() <= 1.0 + 1e-12
-
-
-def test_skyline_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "skyline_events", sf_dir, ("events",))
-    # frontier points are pairwise non-dominated
-    x = a["x"].to_numpy()
-    y = a["y"].to_numpy()
-    for i in range(len(a)):
-        dom = (x >= x[i]) & (y >= y[i]) & ((x > x[i]) | (y > y[i]))
-        assert not dom.any()
-
-
-def test_skyline_semantics(ray_session, tmp_path):
-    """Hand-built frontier: (5,1), (3,3), (1,5) survive; (2,2) is
-    dominated by (3,3); duplicate maxima both survive (no strict
-    dominance between equals)."""
-    import pandas as pd
-
-    from jsonld_js_ray.stages.histo import skyline_events
-
-    pts = [(1, 5.0, 1), (2, 3.0, 3), (3, 1.0, 5), (4, 2.0, 2),
-           (5, 3.0, 3)]
-    ev = pd.DataFrame({
-        "event_id": [p[0] for p in pts],
-        "value": [p[1] for p in pts],
-        "props": ['{"k": %d}' % p[2] for p in pts],
-    })
-    d = str(tmp_path)
-    ev.to_parquet(f"{d}/events.parquet")
-    out = skyline_events(d).to_pandas()
-    assert sorted(out["event_id"]) == [1, 2, 3, 5]
 
 
 def test_kg_clustering_consistent_with_triangle_stats(ray_session,

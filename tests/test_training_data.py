@@ -310,32 +310,6 @@ def test_embedding_dedup_planted_clusters(ray_session):
     assert all(keep[v] == (expected[v] == v) for v in expected)
 
 
-def test_join_queries_match_oracle(ray_session, sf_dir):
-    import duckdb
-
-    from jsonld_js_ray.stages.joins import (
-        BROADCAST_JOIN_SQL, BUCKETED_JOIN_SQL, TOPK_DOCS_SQL,
-        broadcast_join_orders_customers,
-        bucketed_hash_join_lineitem_orders, topk_docs_by_tokens,
-    )
-
-    con = duckdb.connect()
-    for t in ("orders", "customer", "lineitem", "documents"):
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
-                f"'{sf_dir}/{t}.parquet'")
-    for fn, sql in (
-        (broadcast_join_orders_customers, BROADCAST_JOIN_SQL),
-        (bucketed_hash_join_lineitem_orders, BUCKETED_JOIN_SQL),
-        (topk_docs_by_tokens, TOPK_DOCS_SQL),
-    ):
-        mine = fn(sf_dir).to_pandas()
-        orc = con.sql(sql).df()
-        cols = sorted(mine.columns)
-        a = mine[cols].sort_values(cols).reset_index(drop=True)
-        b = orc[cols].sort_values(cols).reset_index(drop=True)
-        assert a.equals(b.astype(a.dtypes.to_dict())), fn.__name__
-
-
 def test_minhash_agreement_estimates_jaccard():
     """Regression for the collapsed multiply-shift family: signature
     agreement fraction must estimate Jaccard (the broken (A·x+B) mod P
@@ -641,62 +615,6 @@ def test_knn_ivf_probe_all_equals_brute(ray_session):
     a = brute[cols].sort_values(cols).reset_index(drop=True)
     b = ivf[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b)
-
-
-def test_asof_and_range_joins_match_oracle(ray_session, sf_dir):
-    import duckdb
-
-    from jsonld_js_ray.stages.joins import (
-        ASOF_JOIN_SQL, RANGE_JOIN_SQL,
-        asof_join_clicks_before_purchases, range_join_clicks_within_hour,
-    )
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    for fn, sql in ((asof_join_clicks_before_purchases, ASOF_JOIN_SQL),
-                    (range_join_clicks_within_hour, RANGE_JOIN_SQL)):
-        mine = fn(sf_dir).to_pandas()
-        orc = con.sql(sql).df()
-        cols = sorted(mine.columns)
-        a = mine[cols].sort_values(cols).reset_index(drop=True)
-        b = orc[cols].sort_values(cols).reset_index(drop=True)
-        assert a.equals(b.astype(a.dtypes.to_dict())), fn.__name__
-
-
-def test_asof_join_semantics_synthetic(ray_session, tmp_path):
-    """Hand-built stream: backward as-of picks the latest click <= each
-    purchase; purchases with no prior click drop (inner)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    base = pd.Timestamp("2026-01-01")
-    rows = [
-        # user 1: click@0, click@10, purchase@10 (tie→10), purchase@5
-        (1, 1, base + pd.Timedelta(minutes=0), "click"),
-        (2, 1, base + pd.Timedelta(minutes=10), "click"),
-        (3, 1, base + pd.Timedelta(minutes=10), "purchase"),
-        (4, 1, base + pd.Timedelta(minutes=5), "purchase"),
-        # user 2: purchase with NO prior click → dropped
-        (5, 2, base + pd.Timedelta(minutes=1), "purchase"),
-        (6, 2, base + pd.Timedelta(minutes=2), "click"),
-    ]
-    df = pd.DataFrame(rows, columns=["event_id", "user_id", "ts",
-                                     "event_type"])
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   d / "events.parquet")
-
-    from jsonld_js_ray.stages.joins import (
-        asof_join_clicks_before_purchases,
-    )
-
-    out = asof_join_clicks_before_purchases(str(d)).to_pandas() \
-        .set_index("event_id")
-    assert set(out.index) == {3, 4}
-    assert out.loc[3, "last_click_ts"] == base + pd.Timedelta(minutes=10)
-    assert out.loc[4, "last_click_ts"] == base + pd.Timedelta(minutes=0)
 
 
 def test_split_and_sample_deterministic_and_oracled(ray_session, sf_dir):
@@ -1376,25 +1294,6 @@ def test_top_bigrams_oracle_parity_sf(ray_session, sf_dir):
     assert len(a) == 50
 
 
-def test_join_anti_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-    import pandas as pd
-
-    import __ray_entry__ as E
-
-    mine = E.queries()["join_anti"](sf_dir).to_pandas()
-    con = duckdb.connect()
-    for t in ("customer", "orders"):
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
-                f"'{sf_dir}/{t}.parquet'")
-    orc = con.sql(E.oracle_sql()["join_anti"]).df()
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    assert len(a) > 0          # the price floor makes the result real
-
-
 def test_length_outlier_filter_semantics(ray_session):
     import ray.data as rd
 
@@ -1947,49 +1846,6 @@ def test_pq_encode_oracle_parity_sf(ray_session, sf_dir):
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
 
 
-def test_funnel_stages_semantics(ray_session):
-    """Order matters: events of a later stage BEFORE the previous
-    stage's first completion don't count; equal timestamps are not
-    'after' (strict); missing stages stop the chain."""
-    import datetime as dt
-
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.funnel import funnel_stages
-
-    t = lambda m: dt.datetime(2026, 1, 1, 0, m)
-    rows = [
-        # user 1: full ordered chain -> 4
-        (1, "signup", 0), (1, "view", 1), (1, "click", 2),
-        (1, "purchase", 3),
-        # user 2: purchase BEFORE click -> stops at 2? no: signup(0),
-        # view(1), purchase(2), click(3) -> click after view ok (3),
-        # but no purchase after click -> 3
-        (2, "signup", 0), (2, "view", 1), (2, "purchase", 2),
-        (2, "click", 3),
-        # user 3: view only, no signup -> 0
-        (3, "view", 0), (3, "click", 1),
-        # user 4: signup & view SAME timestamp -> view not strictly
-        # after -> 1
-        (4, "signup", 5), (4, "view", 5),
-        # user 5: signup then nothing else -> 1
-        (5, "signup", 9),
-        # user 6: second view after signup counts even though first
-        # view was before signup
-        (6, "view", 0), (6, "signup", 1), (6, "view", 2),
-        (6, "click", 3),
-    ]
-    tbl = pa.table({
-        "ts": pa.array([t(m) for _, _, m in rows],
-                       pa.timestamp("us")),
-        "user_id": pa.array([u for u, _, _ in rows], pa.int64()),
-        "event_type": pa.array([e for _, e, _ in rows], pa.string()),
-    })
-    out = funnel_stages(rd.from_arrow(tbl)).to_pandas() \
-        .set_index("user_id")["funnel_stage"].sort_index()
-    assert out.to_dict() == {1: 4, 2: 3, 3: 0, 4: 1, 5: 1, 6: 3}
-
-
 def test_funnel_and_degree_hist_oracle_parity_sf(ray_session, sf_dir):
     import duckdb
     import pandas as pd
@@ -1999,7 +1855,7 @@ def test_funnel_and_degree_hist_oracle_parity_sf(ray_session, sf_dir):
     con = duckdb.connect()
     con.sql(f"CREATE VIEW events AS SELECT * FROM "
             f"'{sf_dir}/events.parquet'")
-    for name in ("funnel_stages", "kg_degree_hist"):
+    for name in ("kg_degree_hist",):
         mine = E.queries()[name](sf_dir).to_pandas()
         orc = con.sql(E.oracle_sql()[name]).df()
         cols = sorted(mine.columns)

@@ -1,69 +1,14 @@
-"""Tests: windowed aggregates, expansionMap hook, link, load_document."""
+"""Tests: per-user rank operators, expansionMap/compactionMap hooks,
+link, load_document."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pytest
 
 import jsonld_js_ray as jl
 from jsonld_js_ray.api import load_document
 from jsonld_js_ray.core.errors import JsonLdError
-
-
-def _events_table():
-    base = 1_700_000_000_000_000  # µs
-    rows = [
-        # user 1: two events in one hour, one in the next
-        (1, base + 10 * 60_000_000, 10.00),
-        (1, base + 20 * 60_000_000, 5.50),
-        (1, base + 70 * 60_000_000, 1.25),
-        # user 2: single event; session gap test: far-later second event
-        (2, base, 99.99),
-        (2, base + 10_000 * 60_000_000, 0.01),
-    ]
-    return pa.table({
-        "user_id": pa.array([r[0] for r in rows], pa.int64()),
-        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
-        "value": pa.array([r[2] for r in rows], pa.float64()),
-    })
-
-
-def test_tumbling_window(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.windows import tumbling_window
-
-    out = tumbling_window(rd.from_arrow(_events_table())).to_pandas()
-    u1 = out[out["user_id"] == 1].sort_values("window_id")
-    assert list(u1["n_events"]) == [2, 1]
-    assert list(u1["sum_cents"]) == [1550, 125]
-    assert list(u1["min_cents"]) == [550, 125]
-    assert list(u1["max_cents"]) == [1000, 125]
-
-
-def test_sliding_window_covers_each_event_twice(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.windows import sliding_window
-
-    out = sliding_window(rd.from_arrow(_events_table()),
-                         width_s=3600, slide_s=1800).to_pandas()
-    assert out["n_events"].sum() == 2 * 5
-
-
-def test_session_window_gap_split(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.windows import session_window
-
-    out = session_window(rd.from_arrow(_events_table()),
-                         gap_s=1800).to_pandas()
-    by_user = out.groupby("user_id").size().to_dict()
-    assert by_user[1] == 2          # 10,20 | 70 min → two sessions
-    assert by_user[2] == 2          # huge gap → two sessions
-    u1 = out[out["user_id"] == 1].sort_values("session_idx")
-    assert list(u1["n_events"]) == [2, 1]
 
 
 def test_expansion_map_hook_surfaces():
@@ -134,27 +79,6 @@ def test_load_document_surface():
     with pytest.raises(JsonLdError) as e:
         load_document("http://nope.example/")
     assert e.value.code == "loading document failed"
-
-
-def test_window_tumbling_matches_oracle_sf(ray_session, sf_dir):
-    import duckdb
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.windows import (
-        TUMBLING_WINDOW_SQL, tumbling_window,
-    )
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["ts", "user_id", "value"])
-    mine = tumbling_window(events).to_pandas()
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    orc = con.sql(TUMBLING_WINDOW_SQL).df()
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    assert a.equals(b.astype(a.dtypes.to_dict()))
 
 
 def test_compaction_map_hook():
@@ -298,59 +222,6 @@ def test_expansion_map_info_carries_ctx_and_options():
     assert "parent" in site and "expandedParent" in site
 
 
-def test_window_distinct_users_exact_matches_oracle(ray_session, sf_dir):
-    import duckdb
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.sketches import (
-        WINDOW_DISTINCT_USERS_SQL, exact_distinct_users_per_window,
-    )
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    mine = exact_distinct_users_per_window(ev).to_pandas() \
-        .sort_values("window_id").reset_index(drop=True)
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    orc = con.sql(WINDOW_DISTINCT_USERS_SQL).df() \
-        .sort_values("window_id").reset_index(drop=True)
-    assert mine.equals(orc.astype(mine.dtypes.to_dict()))
-
-
-def test_hll_error_bound_large_cardinality(ray_session):
-    """HLL at p=12 has std error ≈ 1.6%; assert < 5% relative error for
-    a 50k-distinct window and exactness-by-linear-counting for tiny
-    windows (plus determinism)."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.sketches import (
-        hll_distinct_users_per_window,
-    )
-
-    n_big = 50_000
-    ts_big = pa.array([1_700_000_000_000_000] * n_big,
-                      pa.timestamp("us"))
-    users_big = pa.array(range(n_big), pa.int64())
-    # second window: 5 distinct users, repeated
-    ts_small = pa.array([1_700_010_000_000_000] * 50, pa.timestamp("us"))
-    users_small = pa.array([i % 5 for i in range(50)], pa.int64())
-    tbl = pa.table({
-        "ts": pa.concat_arrays([ts_big, ts_small]),
-        "user_id": pa.concat_arrays([users_big, users_small]),
-    })
-    out = hll_distinct_users_per_window(
-        rd.from_arrow(tbl)).to_pandas().set_index("window_id")
-    big_win = 1_700_000_000 // 3600
-    small_win = 1_700_010_000 // 3600
-    est = out.loc[big_win, "n_users_hll"]
-    assert abs(est - n_big) / n_big < 0.05, est
-    assert out.loc[small_win, "n_users_hll"] == 5
-    out2 = hll_distinct_users_per_window(
-        rd.from_arrow(tbl)).to_pandas().set_index("window_id")
-    assert out.equals(out2)
-
-
 def test_rank_operators_match_oracle(ray_session, sf_dir):
     import duckdb
 
@@ -395,21 +266,3 @@ def test_quantiles_ignore_nulls(ray_session, tmp_path):
     assert out.loc[2, "p50"] == 5.0
     # user 3: all NULL → row present with NULL quantiles
     assert 3 in out.index and pd.isna(out.loc[3, "p50"])
-
-
-def test_hll_pre_epoch_window_assignment(ray_session):
-    """Pre-epoch fractional-second timestamps must floor to the
-    previous window, matching floor(epoch/3600)."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.sketches import (
-        exact_distinct_users_per_window,
-    )
-
-    tbl = pa.table({
-        "ts": pa.array([-500_000], pa.timestamp("us")),  # 1969-12-31
-        "user_id": pa.array([1], pa.int64()),
-    })
-    out = exact_distinct_users_per_window(
-        rd.from_arrow(tbl)).to_pandas()
-    assert list(out["window_id"]) == [-1]

@@ -28,8 +28,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 
-TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
-          "lineitem", "events", "documents", "embeddings"]
+TABLES = ["events", "documents", "embeddings"]
 
 
 def _to_pandas(res):
