@@ -46,7 +46,7 @@ _GRAPH_ARTIFACTS: dict = {}
 def _shared_graph_artifacts(sf_dir: str, edges: bool = True):
     import ray
 
-    from jsonld_js_ray.pipelines.kg import build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.stages.graph import (_oriented_edges, _pin,
                                             _undirected_edges)
 
@@ -57,7 +57,7 @@ def _shared_graph_artifacts(sf_dir: str, edges: bool = True):
         ent = {}
         _GRAPH_ARTIFACTS[key] = ent
     if "quads" not in ent:              # entry may hold only "ce"
-        ent["quads"] = _pin(build_quads_with_mentions(sf_dir))
+        ent["quads"] = _pin(build_quads(sf_dir, entity_mapping={}))
     if edges and "und" not in ent:
         ent["und"] = _pin(_undirected_edges(ent["quads"]))
         ent["directed"] = _pin(_oriented_edges(ent["und"]))
@@ -161,9 +161,9 @@ def _q_kg_quads_nq_file(sf_dir: str):
 
 
 def _q_kg_quads_with_mentions(sf_dir: str):
-    from jsonld_js_ray.pipelines.kg import build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
 
-    return build_quads_with_mentions(sf_dir)
+    return build_quads(sf_dir, entity_mapping={})
 
 
 def _q_kg_quad_stats(sf_dir: str):
@@ -276,7 +276,6 @@ def _q_kg_merged_node_props(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from jsonld_js_ray.pipelines import training_data as td
-    from jsonld_js_ray.stages import rank
 
     return {
         # KG construction (flagship)
@@ -365,18 +364,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "multimodal_features": td.q_multimodal_features,
         "multimodal_audio": td.q_multimodal_audio,
         "embed_quantize": _q_embed_quantize,
-        # per-user order statistics over the events table
-        "user_quantiles": rank.user_value_quantiles,
-        "user_quantiles_cont": rank.user_value_quantiles_cont,
-        "top_events_per_user": rank.top_events_per_user,
-        "user_running_totals": rank.user_running_totals,
-        "robust_outliers": rank.robust_outliers,
-        "user_value_ntiles": rank.user_value_ntiles,
-        "user_value_deltas": rank.user_value_deltas,
-        "debounce_events": rank.debounce_events,
-        "user_favorite_event": rank.user_favorite_event,
-        "user_event_paths": rank.user_event_paths,
-        "event_transitions": rank.event_transitions,
     }
 
 
@@ -768,7 +755,6 @@ def oracle_sql() -> dict[str, str]:
         _entities_canonical_planted_sql,
         _entities_canonical_sql,
     )
-    from jsonld_js_ray.stages import rank
 
     return {
         "transcripts": TRANSCRIPTS_ORACLE_SQL,
@@ -962,26 +948,6 @@ def oracle_sql() -> dict[str, str]:
         "dedup_embedding": EMBEDDING_DEDUP_SQL,
         # canonical lowercase/alnum-collapsed text (RE2 both sides)
         "normalize_text": NORMALIZE_TEXT_SQL,
-        "user_quantiles": rank.USER_QUANTILES_SQL,
-        # interpolated (continuous) quantiles — bit-exact lerp mirror
-        "user_quantiles_cont": rank.USER_QUANTILES_CONT_SQL,
-        "top_events_per_user": rank.TOP_EVENTS_SQL,
-        # per-user cumulative window (ROWS UNBOUNDED PRECEDING)
-        "user_running_totals": rank.RUNNING_TOTALS_SQL,
-        # per-user median/MAD anomaly flag (quantile_disc + IEEE ops)
-        "robust_outliers": rank.ROBUST_OUTLIERS_SQL,
-        # NTILE window (per-user quartile bucketing, deterministic ties)
-        "user_value_ntiles": rank.USER_NTILES_SQL,
-        # LAG window (consecutive per-user value deltas, NULL first row)
-        "user_value_deltas": rank.USER_DELTAS_SQL,
-        # per-(user, type) burst debounce (LAG gap filter, 5-min gap)
-        "debounce_events": rank.DEBOUNCE_SQL,
-        # grouped MODE (argmax count, min-type ties) per user
-        "user_favorite_event": rank.USER_FAVORITE_SQL,
-        # ordered string_agg (per-user session path export)
-        "user_event_paths": rank.USER_PATHS_SQL,
-        # Markov transition counts over per-user ordered streams
-        "event_transitions": rank.EVENT_TRANSITIONS_SQL,
         # No oracle (not SQL-expressible → driver rows-only check):
         #   cms_token_counts (Count-Min sketch — one-sided bound
         #     est >= exact and est-exact <= eN/W asserted exactly vs

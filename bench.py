@@ -60,7 +60,7 @@ def run_bench() -> dict:
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
 
-    from jsonld_js_ray.pipelines.kg import build_quads, build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.sources.transcripts import read_transcripts
     from jsonld_js_ray.stages.entity_merge import surface_stats
     from jsonld_js_ray.stages.linker import detect_mentions
@@ -108,7 +108,7 @@ def run_bench() -> dict:
     queries["transcripts"] = round(time.perf_counter() - t0, 3)
 
     t0 = time.perf_counter()
-    build_quads_with_mentions(SF_DIR).count()
+    build_quads(SF_DIR, entity_mapping={}).count()
     queries["kg_quads_with_mentions"] = round(time.perf_counter() - t0, 3)
 
     # flagship pipeline over the reference's native document format:
@@ -293,15 +293,6 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     _entry.queries()["cms_token_counts"](SF_DIR)
     queries["cms_token_counts"] = round(time.perf_counter() - t0, 3)
-
-    # per-user order statistics over events (stages/rank.py)
-    for name in ("robust_outliers", "user_value_ntiles", "user_value_deltas",
-                 "user_quantiles_cont", "user_event_paths",
-                 "event_transitions", "debounce_events",
-                 "user_favorite_event"):
-        t0 = time.perf_counter()
-        _entry.queries()[name](SF_DIR).count()
-        queries[name] = round(time.perf_counter() - t0, 3)
 
     # optional training-data ops (present from later milestones)
     try:

@@ -4,22 +4,32 @@ Stages (all lazy Ray Data; the streaming executor pipelines them):
 
   read_parquet(events)                      — column-pruned read
     → groupby(user_id).map_groups(          — THE one shuffle: turn
-        derive_and_assemble_events_group)     derivation + doc assembly
+        derive_and_assemble_events_group)     derivation (+ entity
+                                              linking) + doc assembly
     → map_batches(to_rdf_task_fn)           — expand + nodeMap + toRDF +
                                               URDNA2015 per conversation
     → quad table (Arrow)                    — FIXTURES.md §2 schema
 
-``run_kg_pipeline`` adds the resumable partitioned sink with lineage.
+There is one path. ``build_quads(..., entity_mapping=None)`` is the
+flagship; an ``entity_mapping`` dict (surface → canonical surface, from
+the min-hash merge in ``build_entity_mapping``) adds one ``mentions``
+triple per turn and linked entity. ``run_kg_pipeline`` and
+``run_full_kg_pipeline`` (entity mapping first) write either through
+the same resumable partitioned sink with lineage.
 Never calls ray.init (driver owns the session).
 """
 
 from __future__ import annotations
 
+import functools
 import glob
+import hashlib
+import json
 import os
 import time
 from typing import Any
 
+from ..rayutil import strip_meta as _strip_meta
 from ..stages.assemble import derive_and_assemble_events_group
 from ..state import checkpoint as ckpt
 
@@ -32,11 +42,12 @@ def _event_files(sf_dir: str) -> list[str]:
     return files
 
 
-from ..rayutil import strip_meta as _strip_meta  # noqa: E402
+def assemble_docs(sf_dir: str, files: list[str] | None = None,
+                  entity_mapping: dict | None = None):
+    """events parquet → (conv_id, n_turns, doc_json) Dataset.
 
-
-def assemble_docs(sf_dir: str, files: list[str] | None = None):
-    """events parquet → (conv_id, n_turns, doc_json) Dataset."""
+    ``entity_mapping`` (see ``build_quads``) is broadcast once with
+    ray.put and read per task — never re-shipped per batch."""
     import ray.data as rd
 
     paths = files or _event_files(sf_dir)
@@ -44,15 +55,25 @@ def assemble_docs(sf_dir: str, files: list[str] | None = None):
         paths, columns=["event_id", "ts", "user_id", "event_type", "props"]
     ).map_batches(_strip_meta, batch_format="pyarrow",
                   zero_copy_batch=True)
-    return events.groupby("user_id").map_groups(
-        derive_and_assemble_events_group, batch_format="pyarrow")
+    fn = derive_and_assemble_events_group
+    if entity_mapping is not None:
+        import ray
+
+        fn = functools.partial(fn, mapping_ref=ray.put(entity_mapping))
+    return events.groupby("user_id").map_groups(fn, batch_format="pyarrow")
 
 
 def build_quads(sf_dir: str, files: list[str] | None = None,
                 concurrency: int | tuple | None = None,
                 batch_size: int = 256,
-                skip_errors: bool = False):
+                skip_errors: bool = False,
+                entity_mapping: dict | None = None):
     """Full lazy pipeline: events → docs → canonical quad Dataset.
+
+    ``entity_mapping`` None emits no mention triples. A dict (possibly
+    empty) maps surface → canonical surface and links every mention of
+    every turn to its canonical entity IRI; unmapped surfaces link to
+    themselves.
 
     The ToRdf stage runs as elastic tasks with a per-worker-process
     singleton holding the context caches — measured 2-3x faster than an
@@ -63,11 +84,9 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     assembly) — moderate so a giant conversation cannot stall a block
     (SURVEY.md §4.3 stragglers row).
     """
-    import functools
-
     from ..stages.to_rdf_stage import to_rdf_task_fn
 
-    docs = assemble_docs(sf_dir, files)
+    docs = assemble_docs(sf_dir, files, entity_mapping)
     fn = functools.partial(to_rdf_task_fn, skip_errors=skip_errors)
     task_kwargs: dict[str, Any] = {"batch_format": "pyarrow",
                                    "batch_size": batch_size}
@@ -76,100 +95,10 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     return docs.map_batches(fn, **task_kwargs)
 
 
-def _derive_link_assemble(group, mapping_ref=None):
-    """Fused map_groups fn: one user's events → turns → mention detection
-    + entity linking (canonical mapping broadcast via ray.put) → doc with
-    ``mentions`` IRIs. Duplicate mentions per turn collapse in the node
-    map (addValue allowDuplicate=False), like the reference."""
-    import re
-
-    import ray
-
-    from ..sources.transcripts import derive_turns_from_events
-    from ..stages.assemble import ENTITY_NS, assemble_group
-    from ..stages.linker import MENTION_PATTERN
-
-    mapping = ray.get(mapping_ref) if mapping_ref is not None else {}
-    pattern = re.compile(MENTION_PATTERN)
-
-    turns = derive_turns_from_events(group)
-    mentions_by_turn: dict[int, list[str]] = {}
-    for turn_idx, text in zip(turns["turn_idx"].to_pylist(),
-                              turns["text"].to_pylist()):
-        iris = []
-        seen = set()
-        for token in pattern.findall(text or ""):
-            surface = token.lower()
-            canonical = mapping.get(surface, surface)
-            if canonical not in seen:
-                seen.add(canonical)
-                iris.append(ENTITY_NS + canonical)
-        if iris:
-            mentions_by_turn[turn_idx] = iris
-
-    return assemble_group_with_mentions(turns, mentions_by_turn)
-
-
-def assemble_group_with_mentions(turns, mentions_by_turn):
-    import pyarrow.compute as pc
-
-    from ..stages.assemble import assembled_doc_rows
-
-    g = turns.take(pc.sort_indices(turns,
-                                   sort_keys=[("turn_idx", "ascending")]))
-    conv_id = g["conv_id"][0].as_py()
-    cols = g.to_pydict()
-    turn_rows = [
-        {"turn_idx": cols["turn_idx"][i], "role": cols["role"][i],
-         "text": cols["text"][i], "tool": cols["tool"][i],
-         "ts": cols["ts"][i]}
-        for i in range(g.num_rows)
-    ]
-    return assembled_doc_rows(conv_id, turn_rows, mentions_by_turn)
-
-
-def build_quads_with_mentions(sf_dir: str,
-                              canonical_mapping: dict | None = None,
-                              concurrency: int | None = None,
-                              batch_size: int = 256,
-                              files: list[str] | None = None,
-                              skip_errors: bool = False):
-    """Flagship + entity linking: mention IRIs embedded per turn.
-
-    ``canonical_mapping`` (surface → canonical surface, from the min-hash
-    merge) is broadcast once with ray.put and read per task — never
-    re-shipped per batch.
-    """
-    import functools
-
-    import ray
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        files or _event_files(sf_dir),
-        columns=["event_id", "ts", "user_id", "event_type", "props"]
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
-    from ..stages.to_rdf_stage import to_rdf_task_fn
-
-    mapping_ref = ray.put(canonical_mapping) if canonical_mapping else None
-    fn = functools.partial(_derive_link_assemble, mapping_ref=mapping_ref)
-    docs = events.groupby("user_id").map_groups(fn, batch_format="pyarrow")
-    task_kwargs: dict[str, Any] = {"batch_format": "pyarrow",
-                                   "batch_size": batch_size}
-    if concurrency is not None:
-        task_kwargs["concurrency"] = concurrency
-    return docs.map_batches(
-        functools.partial(to_rdf_task_fn, skip_errors=skip_errors),
-        **task_kwargs)
-
-
-
-
 def _write_shard(quads, out_dir: str, shard_id: int, path: str,
                  fp: str) -> "ckpt.ShardRecord":
     """Write one shard's quad Dataset atomically with part_id provenance
-    and a lineage record (shared by both pipeline runners)."""
+    and a lineage record whose ``input_fingerprint`` is ``fp``."""
     t0 = time.perf_counter()
     rec = ckpt.ShardRecord(
         shard_id=shard_id, inputs=[path], input_fingerprint=fp,
@@ -197,34 +126,53 @@ def _write_shard(quads, out_dir: str, shard_id: int, path: str,
     return rec
 
 
-def run_kg_pipeline(sf_dir: str, out_dir: str,
-                    concurrency: int | None = None,
-                    batch_size: int = 256,
-                    resume: bool = True) -> dict:
-    """Execute the flagship pipeline with a resumable partitioned sink.
+def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
+                batch_size: int, resume: bool,
+                concurrency: int | None = None,
+                entity_mapping: dict | None = None) -> dict:
+    """The shard loop both runners share. Shard = one input events file
+    (resume unit; 100 TB inputs are many files), written to
+    ``out_dir/shard=N/part-*.parquet`` with per-shard lineage JSON.
 
-    Shard = one input events file (resume unit; 100 TB inputs are many
-    files). Output: ``out_dir/shard=N/part-*.parquet`` + per-shard
-    lineage JSON. Returns run metrics.
-    """
-    files = _event_files(sf_dir)
-
+    A shard is skipped on resume only when its manifest fingerprint
+    matches. With an ``entity_mapping`` the fingerprint also covers a
+    digest of the mapping, so outputs with and without mention quads
+    (or from different mappings) never satisfy each other; the flagship
+    fingerprint is the bare input fingerprint."""
     os.makedirs(out_dir, exist_ok=True)
     ckpt.reconcile_shards(out_dir, len(files))
     metrics = {"shards_total": len(files), "shards_skipped": 0,
                "quads": 0, "wall_ms": 0}
+    mapping_digest = None if entity_mapping is None else \
+        hashlib.sha256(json.dumps(entity_mapping, sort_keys=True)
+                       .encode()).hexdigest()
 
     for shard_id, path in enumerate(files):
         fp = ckpt.fingerprint_inputs([path])
+        if mapping_digest is not None:
+            fp = hashlib.sha256(
+                f"{fp}|{mapping_digest}".encode()).hexdigest()[:16]
         if resume and ckpt.is_shard_done(out_dir, shard_id, fp):
             metrics["shards_skipped"] += 1
             continue
         quads = build_quads(sf_dir, files=[path], concurrency=concurrency,
-                            batch_size=batch_size, skip_errors=True)
+                            batch_size=batch_size, skip_errors=True,
+                            entity_mapping=entity_mapping)
         rec = _write_shard(quads, out_dir, shard_id, path, fp)
         metrics["quads"] += rec.quads
         metrics["wall_ms"] += rec.wall_ms
     return metrics
+
+
+def run_kg_pipeline(sf_dir: str, out_dir: str,
+                    concurrency: int | None = None,
+                    batch_size: int = 256,
+                    resume: bool = True) -> dict:
+    """Execute the flagship pipeline with a resumable partitioned sink
+    (``_run_shards``). Returns run metrics."""
+    return _run_shards(sf_dir, out_dir, _event_files(sf_dir),
+                       batch_size=batch_size, resume=resume,
+                       concurrency=concurrency)
 
 
 def roundtrip_quads(sf_dir: str):
@@ -257,8 +205,6 @@ def compact_roundtrip_turn_counts(sf_dir: str):
     each doc is compacted against the transcript context, re-expanded,
     and its hasTurn count emitted. Oracle: turns per conversation from
     the transcripts CTE."""
-    import json
-
     import pyarrow as pa
 
     from .. import api as _api
@@ -333,53 +279,43 @@ def run_full_kg_pipeline(sf_dir: str, out_dir: str,
     """The complete north-star flow, resumable:
 
     phase 1  entity canonicalization (min-hash + exact merge, salted) —
-             its mapping is itself checkpointed to out_dir;
-    phase 2  per input shard: derive turns → mention detection + linking
-             against the broadcast mapping → JSON-LD docs → expand →
-             toRDF → URDNA2015 → partitioned Parquet quads + lineage.
+             its mapping is itself checkpointed to out_dir, and reused
+             only for the same inputs and ``threshold``;
+    phase 2  the flagship shard loop with ``entity_mapping=mapping``:
+             derive turns → mention linking against the broadcast
+             mapping → JSON-LD docs → expand → toRDF → URDNA2015 →
+             partitioned Parquet quads + lineage.
 
     Returns metrics incl. triples/sec per shard.
     """
-    import json as _json
-
     files = _event_files(sf_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    # phase 1 (checkpointed: reuse when inputs unchanged)
+    # phase 1 (checkpointed: reuse when inputs and threshold unchanged)
     all_fp = ckpt.fingerprint_inputs(files)
     map_path = os.path.join(out_dir, "_entity_mapping.json")
     mapping: dict | None = None
     if resume and os.path.exists(map_path):
         try:
             with open(map_path) as f:
-                rec = _json.load(f)
-            if rec.get("input_fingerprint") == all_fp:
+                rec = json.load(f)
+            if rec.get("input_fingerprint") == all_fp \
+                    and rec.get("threshold") == threshold:
                 mapping = rec["mapping"]
-        except (OSError, _json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError):
             mapping = None
     if mapping is None:
         mapping = build_entity_mapping(sf_dir, threshold)
         tmp = map_path + ".tmp"
         with open(tmp, "w") as f:
-            _json.dump({"input_fingerprint": all_fp, "mapping": mapping}, f)
+            json.dump({"input_fingerprint": all_fp, "threshold": threshold,
+                       "mapping": mapping}, f)
         os.rename(tmp, map_path)
 
-    ckpt.reconcile_shards(out_dir, len(files))
-    metrics = {"shards_total": len(files), "shards_skipped": 0,
-               "quads": 0, "wall_ms": 0, "entities": len(mapping),
-               "canonical_entities": len(set(mapping.values()))}
-
-    for shard_id, path in enumerate(files):
-        fp = ckpt.fingerprint_inputs([path])
-        if resume and ckpt.is_shard_done(out_dir, shard_id, fp):
-            metrics["shards_skipped"] += 1
-            continue
-        quads = build_quads_with_mentions(
-            sf_dir, canonical_mapping=mapping, batch_size=batch_size,
-            files=[path], skip_errors=True)
-        rec = _write_shard(quads, out_dir, shard_id, path, fp)
-        metrics["quads"] += rec.quads
-        metrics["wall_ms"] += rec.wall_ms
+    metrics = _run_shards(sf_dir, out_dir, files, batch_size=batch_size,
+                          resume=resume, entity_mapping=mapping)
+    metrics["entities"] = len(mapping)
+    metrics["canonical_entities"] = len(set(mapping.values()))
     if metrics["wall_ms"]:
         metrics["triples_per_sec"] = round(
             metrics["quads"] / (metrics["wall_ms"] / 1000), 1)
@@ -390,8 +326,6 @@ def flatten_doc_node_counts(sf_dir: str):
     """Distributed flatten over the assembled docs: each conversation doc
     flattens to 1 conversation node + n_turns message nodes (+ entity
     reference nodes when mentions are linked). Oracle: turns-per-conv + 1."""
-    import json
-
     import pyarrow as pa
 
     from .. import api as _api
@@ -437,8 +371,6 @@ def distributed_merge_node_props(sf_dir: str):
     IRI, union-merge each subject's values with addValue dedup (the
     reference's merge semantics, lib/jsonld.js:803-830), and emit
     (subj, n_props, n_values) per merged node."""
-    import json
-
     import pandas as pd
     import pyarrow as pa
 
@@ -570,7 +502,7 @@ def conv_entity_mentions(sf_dir: str):
 
     has_turn = CONV_VOCAB + "hasTurn"
     mentions = CONV_VOCAB + "mentions"
-    quads = build_quads_with_mentions(sf_dir)
+    quads = build_quads(sf_dir, entity_mapping={})
 
     def edges(batch: pa.Table) -> pa.Table:
         keep = pc.is_in(batch["pred"],

@@ -71,8 +71,7 @@ def write_docs_jsonld_lines(docs_ds, out_dir: str,
 
     lines = docs_ds.map_batches(docs_to_lines, batch_format="pyarrow",
                                 batch_size=4096)
-    return write_line_shards(lines, out_dir, "jsonl", "docs", 4096,
-                             inputs=inputs)
+    return write_line_shards(lines, out_dir, "jsonl", "docs", inputs=inputs)
 
 
 def _conv_id_of(doc, line: str) -> str:

@@ -85,10 +85,9 @@ class _LineShardDatasink(Datasink):
     ``part-{task_idx}-{block_idx}.{ext}``; collects a (path, rows,
     bytes) manifest on the driver in ``on_write_complete``."""
 
-    def __init__(self, out_dir: str, ext: str, count_col: str) -> None:
+    def __init__(self, out_dir: str, ext: str) -> None:
         self.out_dir = out_dir
         self.ext = ext
-        self.count_col = count_col
         self.manifest_rows: list[tuple[str, int, int]] = []
 
     def on_write_start(self) -> None:
@@ -141,13 +140,11 @@ class _LineShardDatasink(Datasink):
 
 
 def write_line_shards(lines_ds, out_dir: str, ext: str,
-                      count_col: str, batch_size: int,
-                      inputs: list[str] | None = None):
+                      count_col: str, inputs: list[str] | None = None):
     """Dataset with a ``line`` column → ``part-*.{ext}`` files in
-    ``out_dir``. Executes eagerly (the write is a side effect) and
-    returns the manifest (path, {count_col}) as a pandas DataFrame.
-    ``batch_size`` is unused by the datasink path (blocks stream
-    through as-is); kept for call-site compatibility.
+    ``out_dir``. Executes eagerly (the write is a side effect; blocks
+    stream through as-is) and returns the manifest (path, {count_col})
+    as a pandas DataFrame.
 
     ``inputs``: source files these lines derive from. When given, a
     completed prior write of the same input fingerprint whose parts
@@ -170,7 +167,7 @@ def write_line_shards(lines_ds, out_dir: str, ext: str,
             })
 
     t0 = time.time()
-    sink = _LineShardDatasink(out_dir, ext, count_col)
+    sink = _LineShardDatasink(out_dir, ext)
     lines_ds.write_datasink(sink)
     rows = sorted(sink.manifest_rows)
     if fp is not None:

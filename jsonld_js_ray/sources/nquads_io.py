@@ -299,8 +299,7 @@ def write_nquads(quads_ds, out_dir: str,
 
     lines = quads_ds.map_batches(serialize_batch, batch_format="pyarrow",
                                  batch_size=65536)
-    return write_line_shards(lines, out_dir, "nq", "rows", 65536,
-                             inputs=inputs)
+    return write_line_shards(lines, out_dir, "nq", "rows", inputs=inputs)
 
 
 def read_nquads(paths,

@@ -135,31 +135,46 @@ def assembled_doc_rows(
     })
 
 
-def assemble_group(group: pa.Table) -> pa.Table:
+def assemble_group(turns: pa.Table,
+                   mentions_by_turn: dict[int, list[str]] | None = None
+                   ) -> pa.Table:
     """map_groups fn: one conversation's transcript rows → one
     (conv_id, n_turns, doc_json) row per chunk. Sorts by turn_idx
-    in-group."""
+    in-group. ``mentions_by_turn`` (turn_idx → entity IRIs) adds each
+    turn's ``mentions``."""
     import pyarrow.compute as pc
 
-    g = group.take(pc.sort_indices(group, sort_keys=[("turn_idx",
+    g = turns.take(pc.sort_indices(turns, sort_keys=[("turn_idx",
                                                       "ascending")]))
     conv_id = g["conv_id"][0].as_py()
     cols = g.to_pydict()
-    turns = [
+    turn_rows = [
         {"turn_idx": cols["turn_idx"][i], "role": cols["role"][i],
          "text": cols["text"][i], "tool": cols["tool"][i],
          "ts": cols["ts"][i]}
         for i in range(g.num_rows)
     ]
-    return assembled_doc_rows(conv_id, turns)
+    return assembled_doc_rows(conv_id, turn_rows, mentions_by_turn)
 
 
-def derive_and_assemble_events_group(group: pa.Table) -> pa.Table:
+def derive_and_assemble_events_group(group: pa.Table,
+                                     mapping_ref=None) -> pa.Table:
     """Fused stage for the events-derived flagship: one user's events →
     transcript turns (sorted ts, event_id) → assembled doc row.
 
-    One groupby(user_id) shuffle total for read→doc (SURVEY.md §7.3).
+    ``mapping_ref`` (a ``ray.put`` surface → canonical surface dict)
+    adds entity linking: each turn's mentions become ``mentions`` IRIs
+    (``linker.link_turn_mentions``). One groupby(user_id) shuffle total
+    for read→doc (SURVEY.md §7.3).
     """
     from ..sources.transcripts import derive_turns_from_events
 
-    return assemble_group(derive_turns_from_events(group))
+    turns = derive_turns_from_events(group)
+    if mapping_ref is None:
+        return assemble_group(turns)
+    import ray
+
+    from .linker import link_turn_mentions
+
+    return assemble_group(turns,
+                          link_turn_mentions(turns, ray.get(mapping_ref)))

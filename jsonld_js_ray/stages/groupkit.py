@@ -1,5 +1,5 @@
 """Vectorized run (sorted-group) index arithmetic shared by the
-order-statistics stages (stages/rank.py, stages/tfidf.py).
+grouped stages (stages/graph.py, stages/tfidf.py, stages/ngrams.py).
 
 A "run" is a maximal block of equal values in an already-sorted key
 array; per-group rank/top-k reduces to these three primitives plus one
@@ -95,8 +95,8 @@ def pair_bucket_ids(a: np.ndarray, b: np.ndarray,
 def quantile_disc_pos(p: float, n):
     """1-based sorted position of DuckDB's quantile_disc(x, p) in a
     group of n non-NULL values: ceil(p*n) clamped to >= 1. Verified
-    empirically against DuckDB for n = 1..3000 and p in {.25,.5,.9,.99}
-    (see stages/rank.py). n may be a scalar or an int array; the result
+    empirically against DuckDB for n = 1..3000 and p in {.25,.5,.9,.99}.
+    n may be a scalar or an int array; the result
     matches its shape."""
     return np.maximum(np.ceil(p * np.asarray(n)).astype(np.int64), 1)
 

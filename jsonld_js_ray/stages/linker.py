@@ -5,9 +5,12 @@ detection and entity-link scoring (actor-pool map_batches holding the
 linker model and a cached @context/term-definition resolver)".
 
 The "model" is deterministic and self-contained (no external data): a
-compiled token pattern + a scoring function; real deployments would load
-an NER/EL model in ``__init__`` — the Ray-side shape (actor pool, state
-loaded once, batched scoring) is identical.
+token rule + a scoring function; real deployments would load an NER/EL
+model in ``__init__`` — the Ray-side shape (actor pool, state loaded
+once, batched scoring) is identical. ``MentionDetector``'s Arrow kernel
+is the one engine implementation of the rule: the mention stream
+(``detect_mentions``) and per-turn linking during document assembly
+(``link_turn_mentions``) both run it.
 
 Mention rule (SQL-mirrorable, see MENTIONS_SQL): alphabetic tokens of
 length >= 3, lowercased. Deliberately tiny surface-form cardinality on the
@@ -15,8 +18,6 @@ events-derived corpus → the designated skew source (SURVEY.md §7.4.5).
 """
 
 from __future__ import annotations
-
-import re
 
 import pyarrow as pa
 
@@ -55,10 +56,6 @@ class MentionDetector:
     length ≥ 3, which Arrow's split + list kernels express without a
     per-row Python loop (order preserved by list_flatten)."""
 
-    def __init__(self) -> None:
-        # kept for API parity / direct kernel use in tests
-        self.pattern = re.compile(MENTION_PATTERN)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
         import pyarrow.compute as pc
@@ -91,6 +88,24 @@ class MentionDetector:
                 pa.array([ENTITY_NS] * len(surface), pa.string()),
                 surface.cast(pa.string()), ""),
         })
+
+
+def link_turn_mentions(turns: pa.Table,
+                       mapping: dict[str, str]) -> dict[int, list[str]]:
+    """One conversation's turns (conv_id, turn_idx, text) → turn_idx →
+    entity IRIs. Each mention's surface links to ``mapping[surface]``
+    (surface → canonical surface), or to itself when unmapped; a turn
+    keeps one IRI per canonical surface, in first-seen order."""
+    found = MentionDetector()(turns)
+    by_turn: dict[int, list[str]] = {}
+    seen: set[tuple[int, str]] = set()
+    for turn_idx, surface in zip(found["turn_idx"].to_pylist(),
+                                 found["surface"].to_pylist()):
+        canonical = mapping.get(surface, surface)
+        if (turn_idx, canonical) not in seen:
+            seen.add((turn_idx, canonical))
+            by_turn.setdefault(turn_idx, []).append(ENTITY_NS + canonical)
+    return by_turn
 
 
 def detect_mentions(transcripts, concurrency=None):

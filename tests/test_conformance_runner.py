@@ -22,6 +22,7 @@ jsonld_js_ray.conformance reimplements it. Three layers here:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -206,6 +207,35 @@ def test_malformed_entries_reported_not_fatal(tmp_path):
     assert rep["pass"] == 1           # the healthy test still ran
     assert rep["fail"] == 2           # no-input + missing files
     assert rep["skip"] == 1           # unreadable sub-manifest
+
+
+# a JSON-array-root manifest or entry is recorded as a skip, never an
+# AttributeError abort
+
+def test_conformance_array_root_entry_recorded_not_fatal(tmp_path):
+    from jsonld_js_ray.conformance import run_manifest
+
+    (tmp_path / "arr.jsonld").write_text(json.dumps([1, 2, 3]))
+    man = {
+        "@context": {},
+        "name": "array-root fixture",
+        "sequence": ["arr.jsonld"],
+    }
+    (tmp_path / "manifest.jsonld").write_text(json.dumps(man))
+    report = run_manifest(str(tmp_path / "manifest.jsonld"))
+    assert report["fail"] == 0
+    assert report["skip"] == 1
+    assert any("not a JSON object" in reason
+               for _, reason in report["skips"])
+
+
+def test_conformance_array_root_manifest_recorded_not_fatal(tmp_path):
+    from jsonld_js_ray.conformance import run_manifest
+
+    (tmp_path / "manifest.jsonld").write_text(json.dumps(["x"]))
+    report = run_manifest(str(tmp_path / "manifest.jsonld"))
+    assert report["fail"] == 0
+    assert report["skip"] == 1
 
 
 OFFICIAL = os.environ.get("GRAFT_W3C_SUITES_DIR")

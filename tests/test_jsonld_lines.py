@@ -298,7 +298,7 @@ def test_line_sink_clears_orphan_tmp(tmp_path):
     for p in (orphan, stale):
         with open(p, "w") as f:
             f.write("old")
-    sink = _LineShardDatasink(d, "jsonl", "docs")
+    sink = _LineShardDatasink(d, "jsonl")
     sink.on_write_start()
     assert not os.path.exists(orphan) and not os.path.exists(stale)
 

@@ -162,12 +162,13 @@ def test_mentions_and_entity_canonicalization(ray_session):
 def test_mention_quads_match_oracle(ray_session, sf_dir):
     import duckdb
 
-    from jsonld_js_ray.pipelines.kg import build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.pipelines.oracle import (
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL,
     )
 
-    mine = build_quads_with_mentions(sf_dir, concurrency=2).to_pandas()
+    mine = build_quads(sf_dir, concurrency=2,
+                       entity_mapping={}).to_pandas()
     con = duckdb.connect()
     con.sql(f"CREATE VIEW events AS SELECT * FROM "
             f"'{sf_dir}/events.parquet'")
@@ -243,12 +244,12 @@ def test_salted_aggregation_correct_under_hot_key(ray_session):
 def test_canonical_mapping_flows_into_mention_iris(ray_session, sf_dir):
     """End-to-end entity canonicalization: the min-hash mapping broadcast
     into the fused assemble stage rewrites mention IRIs."""
-    from jsonld_js_ray.pipelines.kg import build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.stages.assemble import CONV_VOCAB, ENTITY_NS
 
     mapping = {"click": "CANON", "error": "CANON"}
-    quads = build_quads_with_mentions(
-        sf_dir, canonical_mapping=mapping).to_pandas()
+    quads = build_quads(
+        sf_dir, entity_mapping=mapping).to_pandas()
     mentions = quads[quads["pred"] == CONV_VOCAB + "mentions"]
     objs = set(mentions["obj_value"])
     assert ENTITY_NS + "CANON" in objs
@@ -290,6 +291,79 @@ def test_full_pipeline_with_entity_canonicalization(
     m2 = run_full_kg_pipeline(sf_dir, out)
     assert m2["shards_skipped"] == m2["shards_total"]
     assert m2["quads"] == 0
+
+
+def test_mention_quads_are_flagship_plus_mentions(quads_df, sf_dir):
+    """Entity linking only adds ``mentions`` triples: with an empty
+    mapping, dropping them leaves exactly the flagship quads (as a
+    multiset)."""
+    from jsonld_js_ray.pipelines.kg import build_quads
+
+    linked = build_quads(sf_dir, entity_mapping={}).to_pandas()
+    is_mention = linked["pred"] == CONV_VOCAB + "mentions"
+    assert is_mention.any()
+    cols = sorted(quads_df.columns)
+    a = linked[~is_mention][cols].sort_values(cols).reset_index(drop=True)
+    b = quads_df[cols].sort_values(cols).reset_index(drop=True)
+    assert a.equals(b)
+
+
+def _has_mention_quads(out_dir: str) -> bool:
+    import glob
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    files = glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
+    assert files
+    return any(pc.any(pc.equal(pq.read_table(f)["pred"],
+                               CONV_VOCAB + "mentions")).as_py()
+               for f in files)
+
+
+def test_resume_never_mixes_flagship_and_mention_outputs(
+        ray_session, sf_dir, tmp_path, monkeypatch):
+    """One out_dir, flagship → full → flagship: each run rewrites every
+    shard, because a shard written with mention quads must not satisfy
+    a flagship resume (or the reverse)."""
+    from jsonld_js_ray.pipelines import kg
+
+    monkeypatch.setattr(kg, "build_entity_mapping",
+                        lambda sf, threshold: {"click": "CANON"})
+    out = str(tmp_path / "mixed")
+    for run, linked in ((kg.run_kg_pipeline, False),
+                        (kg.run_full_kg_pipeline, True),
+                        (kg.run_kg_pipeline, False)):
+        m = run(sf_dir, out)
+        assert m["shards_skipped"] == 0 and m["quads"] > 0
+        assert _has_mention_quads(out) == linked
+
+
+def test_changed_threshold_recomputes_entity_mapping(
+        ray_session, sf_dir, tmp_path, monkeypatch):
+    import os
+
+    from jsonld_js_ray.pipelines import kg
+
+    calls = []
+
+    def fake_mapping(sf, threshold):
+        calls.append(threshold)
+        return {"click": f"canon{threshold}"}
+
+    monkeypatch.setattr(kg, "build_entity_mapping", fake_mapping)
+    out = str(tmp_path / "thr")
+    kg.run_full_kg_pipeline(sf_dir, out, threshold=0.6)
+    m = kg.run_full_kg_pipeline(sf_dir, out, threshold=0.6)
+    assert calls == [0.6] and m["shards_skipped"] == m["shards_total"]
+    m = kg.run_full_kg_pipeline(sf_dir, out, threshold=0.9)
+    assert calls == [0.6, 0.9]
+    assert m["shards_skipped"] == 0        # new mapping → new quads
+    with open(os.path.join(out, "_entity_mapping.json")) as f:
+        rec = json.load(f)
+    assert rec["threshold"] == 0.9
+    assert rec["mapping"] == {"click": "canon0.9"}
 
 
 def test_giant_conversation_chunking_same_triple_set():

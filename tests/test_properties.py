@@ -193,31 +193,6 @@ def test_pair_run_starts_matches_scalar(pairs):
     assert got == want
 
 
-@given(st.integers(1, 200), st.integers(1, 12))
-def test_ntile_sizing_matches_sql_definition(n, t):
-    """The vectorized NTILE arithmetic in rank.user_value_ntiles must
-    produce the SQL sizing: first n%t buckets ceil(n/t), rest
-    floor(n/t), clamped to n buckets when n < t."""
-    import numpy as np
-
-    pos = np.arange(n)
-    n_per = np.full(n, n)
-    big = n_per // t + 1
-    rem = n_per % t
-    cut = rem * big
-    in_big = pos < cut
-    small = np.maximum(n_per // t, 1)
-    tile = np.where(in_big, pos // big,
-                    rem + (pos - cut) // small) + 1
-    # reference: walk the SQL definition
-    sizes = [n // t + (1 if i < n % t else 0) for i in range(t)]
-    want, k = [], 1
-    for s in sizes:
-        want.extend([k] * s)
-        k += 1
-    assert tile.tolist() == want[:n]
-
-
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                 min_size=1, max_size=80))
 @settings(deadline=None)   # first-example numpy/stages import > 200 ms
@@ -254,59 +229,3 @@ def test_sorted_lookup_matches_isin(build, probes):
     # where hit, the index really points at the probe's key
     if hit.any():
         assert (bk[idx[hit]] == pr[hit]).all()
-
-
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3),
-                          st.integers(1, 5)),
-                min_size=1, max_size=60))
-def test_weighted_mode_argmax_matches_reference(rows):
-    """user_favorite_event's in-shard kernel: weighted mode with
-    min-type ties over pre-aggregated (user, type, count) partials
-    (possibly repeated — partials from different batches)."""
-    import numpy as np
-    import pandas as pd
-
-    from jsonld_js_ray.stages.rank import _weighted_mode_argmax
-
-    users = np.array([r[0] for r in rows], np.int64)
-    et = np.asarray([f"t{r[1]}" for r in rows], dtype=str)
-    n = np.array([r[2] for r in rows], np.int64)
-    # reference: total counts, argmax with min-type ties
-    df = pd.DataFrame({"u": users, "t": et, "n": n})
-    tot = df.groupby(["u", "t"])["n"].sum().reset_index()
-    want = {}
-    for u, g in tot.groupby("u"):
-        m = g["n"].max()
-        want[u] = (sorted(g[g["n"] == m]["t"])[0], m)
-    gu, gt, sums = _weighted_mode_argmax(users, et, n)
-    got = {int(a): (b, int(s)) for a, b, s in zip(gu, gt, sums)}
-    assert got == want
-
-
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
-                          st.integers(0, 1000)),
-                min_size=1, max_size=40, unique_by=lambda r: r[2]))
-def test_debounce_matches_lag_reference(rows):
-    """debounce keep-mask vs a scalar LAG reference over random
-    (user, type, ts-seconds) streams with a 300 s gap."""
-    import numpy as np
-
-    from jsonld_js_ray.stages.rank import _debounce_keep
-
-    users = np.array([r[0] for r in rows], np.int64)
-    tcode = np.array([r[1] for r in rows], np.int64)
-    ts = np.array([r[2] for r in rows], np.int64) * 1_000_000
-    eids = np.arange(len(rows), dtype=np.int64)
-    gap_us = 300 * 1_000_000
-    _, e, _, keep = _debounce_keep(users, ts, eids, tcode, 2, gap_us)
-    got = set(e[keep].tolist())
-    # scalar reference
-    want = set()
-    last = {}
-    for i in sorted(range(len(rows)),
-                    key=lambda i: (users[i], tcode[i], ts[i], i)):
-        k = (users[i], tcode[i])
-        if k not in last or ts[i] - last[k] > gap_us:
-            want.add(i)
-        last[k] = ts[i]
-    assert got == want

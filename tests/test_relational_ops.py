@@ -1,9 +1,8 @@
-"""Graph, text, LM and per-user rank operator tests: k-core, reach,
-common neighbors, property table, resource allocation, communities,
-weighted PageRank, entity lift, text normalization, substring dedup,
-LM scores, running totals, ntiles, deltas, paths/transitions,
-continuous quantiles, robust outliers (semantics + DuckDB oracle
-parity at sf0.001; the driver re-checks parity at sf0.01)."""
+"""Graph, text and LM operator tests: k-core, reach, common neighbors,
+property table, resource allocation, communities, weighted PageRank,
+entity lift, text normalization, substring dedup, LM scores
+(semantics + DuckDB oracle parity at sf0.001; tools/oracle_sweep.py
+re-checks parity at sf0.01)."""
 
 from __future__ import annotations
 
@@ -26,28 +25,6 @@ def _parity(E, q, sf_dir, views):
     b = orc[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
     return a
-
-
-def test_user_running_totals_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "user_running_totals", sf_dir, ("events",))
-    n_events = duckdb.sql(f"SELECT count(*) FROM "
-                          f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert len(a) == n_events            # one output row per event
-    # the last running value per user equals the user's exact total
-    import pandas as pd
-
-    ev = pd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "value"])
-    cents = np.floor(np.nan_to_num(ev["value"].to_numpy()) * 100
-                     + 0.5).astype(np.int64)
-    want = pd.Series(cents).groupby(ev["user_id"]).sum()
-    got = a.loc[a.groupby("user_id")["seq"].idxmax()] \
-        .set_index("user_id")["cum_cents"]
-    assert got.sort_index().equals(want.sort_index())
 
 
 def test_normalize_text_semantics():
@@ -388,44 +365,11 @@ def test_resource_allocation_semantics(ray_session):
                    ("b", "h"): 500000}
 
 
-def test_robust_outliers_semantics(ray_session, tmp_path):
-    """User 1: nine values at 10 (MAD 0) and one at 100 → only the 100
-    is flagged (|v-med| > 0). User 2: spread values where MAD > 0
-    gates the flag at 3×MAD exactly (strict >)."""
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    from jsonld_js_ray.stages.rank import robust_outliers
-
-    vals1 = [10.0] * 9 + [100.0]
-    # user 2: sorted [1..7, 100]; med = 4 (pos ceil(.5*8)=4), devs
-    # sorted [0,1,1,2,2,3,3,96] → MAD = 2; flag |v-4| > 6 → only 100
-    vals2 = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 100.0]
-    vals = vals1 + vals2
-    users = [1] * len(vals1) + [2] * len(vals2)
-    tbl = pa.table({
-        "event_id": pa.array(range(len(vals)), pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1)] * len(vals),
-                       pa.timestamp("us")),
-        "user_id": pa.array(users, pa.int64()),
-        "event_type": pa.array(["view"] * len(vals), pa.string()),
-        "value": pa.array(vals, pa.float64()),
-        "props": pa.array([""] * len(vals), pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    out = robust_outliers(str(tmp_path)).to_pandas() \
-        .sort_values("event_id")
-    assert out["value"].tolist() == [100.0, 100.0]
-    assert out["user_id"].tolist() == [1, 2]
-
-
 def test_new_relational_oracle_parity_sf(ray_session, sf_dir):
     import __ray_entry__ as E
 
-    for q in ("robust_outliers", "kg_resource_allocation"):
-        a = _parity(E, q, sf_dir, ("events",))
-        assert len(a) > 0
+    a = _parity(E, "kg_resource_allocation", sf_dir, ("events",))
+    assert len(a) > 0
 
 
 def test_lm_backoff_semantics(ray_session):
@@ -475,45 +419,6 @@ def test_lm_backoff_oracle_parity_sf(ray_session, sf_dir):
     even = a[a["doc_id"] % 2 == 0]["lmbo_score"].mean()
     odd = a[a["doc_id"] % 2 == 1]["lmbo_score"].mean()
     assert odd < even
-
-
-def test_ntile_semantics(ray_session, tmp_path):
-    """NTILE(4) sizing: n=6 -> tile sizes 2,2,1,1; n=3 (< tiles) ->
-    each row its own tile; ties broken by event_id."""
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    from jsonld_js_ray.stages.rank import user_value_ntiles
-
-    vals1 = [5.0, 1.0, 3.0, 3.0, 2.0, 4.0]      # user 1, n=6
-    vals2 = [9.0, 7.0, 8.0]                      # user 2, n=3
-    vals = vals1 + vals2
-    users = [1] * 6 + [2] * 3
-    tbl = pa.table({
-        "event_id": pa.array(range(len(vals)), pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1)] * len(vals),
-                       pa.timestamp("us")),
-        "user_id": pa.array(users, pa.int64()),
-        "event_type": pa.array(["view"] * len(vals), pa.string()),
-        "value": pa.array(vals, pa.float64()),
-        "props": pa.array([""] * len(vals), pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    out = user_value_ntiles(str(tmp_path)).to_pandas() \
-        .set_index("event_id")["tile"]
-    # user 1 sorted by (value, event_id): e1(1) e4(2) e2(3) e3(3)
-    # e5(4) e0(5) -> tiles 1,1,2,2,3,4
-    assert out[[1, 4, 2, 3, 5, 0]].tolist() == [1, 1, 2, 2, 3, 4]
-    # user 2 sorted: e7(7) e8(8) e6(9) -> tiles 1,2,3
-    assert out[[7, 8, 6]].tolist() == [1, 2, 3]
-
-
-def test_ntile_and_pricing_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "user_value_ntiles", sf_dir, ("events",))
-    assert set(a["tile"].unique()) == {1, 2, 3, 4}
 
 
 def test_entity_lift_semantics(ray_session):
@@ -597,122 +502,6 @@ def test_communities_oracle_parity_sf(ray_session, sf_dir):
     # the rdf:type class hubs pull nodes into a handful of
     # class-anchored communities — more than one, far fewer than nodes
     assert 1 < a["community"].nunique() < len(a)
-
-
-def test_user_deltas_semantics_and_parity(ray_session, sf_dir, tmp_path):
-    """LAG semantics: first event per user NULL, others the exact
-    consecutive difference in (ts, event_id) order; sf parity vs
-    DuckDB lag()."""
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    import __ray_entry__ as E
-    from jsonld_js_ray.stages.rank import user_value_deltas
-
-    tbl = pa.table({
-        "event_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1, h) for h in
-                        (1, 2, 3, 1)], pa.timestamp("us")),
-        "user_id": pa.array([1, 1, 1, 2], pa.int64()),
-        "event_type": pa.array(["view"] * 4, pa.string()),
-        "value": pa.array([10.0, 7.5, 12.25, 3.0], pa.float64()),
-        "props": pa.array([""] * 4, pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    out = user_value_deltas(str(tmp_path)).to_pandas() \
-        .set_index("event_id").sort_index()["delta"]
-    assert out.isna().tolist() == [True, False, False, True]
-    assert out[1] == -2.5 and out[2] == 4.75
-    a = _parity(E, "user_value_deltas", sf_dir, ("events",))
-    assert len(a) > 0 and a["delta"].isna().any()
-
-
-def test_paths_and_transitions_semantics(ray_session, tmp_path):
-    """Crafted two-user stream: paths join in exact (ts, event_id)
-    order; transitions never cross users; counts sum."""
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    from jsonld_js_ray.stages.rank import (
-        event_transitions,
-        user_event_paths,
-    )
-
-    rows = [  # (user, type, hour)
-        (1, "signup", 1), (1, "view", 2), (1, "click", 3),
-        (1, "view", 4),
-        (2, "view", 1), (2, "click", 2),
-    ]
-    tbl = pa.table({
-        "event_id": pa.array(range(len(rows)), pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1, h) for _, _, h
-                        in rows], pa.timestamp("us")),
-        "user_id": pa.array([u for u, _, _ in rows], pa.int64()),
-        "event_type": pa.array([t for _, t, _ in rows], pa.string()),
-        "value": pa.array([0.0] * len(rows), pa.float64()),
-        "props": pa.array([""] * len(rows), pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    paths = user_event_paths(str(tmp_path)).to_pandas() \
-        .set_index("user_id").sort_index()
-    assert paths.loc[1, "path"] == "signup,view,click,view"
-    assert paths.loc[2, "path"] == "view,click"
-    assert paths["n_events"].tolist() == [4, 2]
-    tr = event_transitions(str(tmp_path)).to_pandas()
-    got = {(r.prev_type, r.next_type): r.n for r in tr.itertuples()}
-    # user 1: signup->view, view->click, click->view; user 2:
-    # view->click — NO view->view bridge between users
-    assert got == {("signup", "view"): 1, ("view", "click"): 2,
-                   ("click", "view"): 1}
-
-
-def test_paths_and_transitions_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    import duckdb
-
-    a = _parity(E, "user_event_paths", sf_dir, ("events",))
-    n_users = duckdb.sql(
-        f"SELECT count(DISTINCT user_id) FROM "
-        f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert len(a) == n_users and (a["n_events"] > 0).all()
-    b = _parity(E, "event_transitions", sf_dir, ("events",))
-    assert b["n"].sum() == a["n_events"].sum() - len(a)
-
-
-def test_quantiles_cont_semantics_and_parity(ray_session, sf_dir,
-                                             tmp_path):
-    """Interpolation: user with values [1, 2, 10]: c50 = 2 (exact
-    point), c90 = 2*(1-0.8) + 10*0.8 = 8.4; single-value user: both
-    quantiles = the value. sf parity vs DuckDB quantile_cont."""
-    import datetime as dt
-
-    import pyarrow.parquet as pq
-
-    import __ray_entry__ as E
-    from jsonld_js_ray.stages.rank import user_value_quantiles_cont
-
-    vals = [1.0, 2.0, 10.0, 7.0]
-    users = [1, 1, 1, 2]
-    tbl = pa.table({
-        "event_id": pa.array(range(4), pa.int64()),
-        "ts": pa.array([dt.datetime(2026, 1, 1)] * 4,
-                       pa.timestamp("us")),
-        "user_id": pa.array(users, pa.int64()),
-        "event_type": pa.array(["view"] * 4, pa.string()),
-        "value": pa.array(vals, pa.float64()),
-        "props": pa.array([""] * 4, pa.string()),
-    })
-    pq.write_table(tbl, str(tmp_path / "events.parquet"))
-    out = user_value_quantiles_cont(str(tmp_path)).to_pandas() \
-        .set_index("user_id").sort_index()
-    assert out.loc[1, "c50"] == 2.0
-    assert out.loc[1, "c90"] == 2.0 * (1 - 0.8) + 10.0 * 0.8
-    assert out.loc[2, "c50"] == 7.0 and out.loc[2, "c90"] == 7.0
-    a = _parity(E, "user_quantiles_cont", sf_dir, ("events",))
-    assert len(a) > 0 and (a["c90"] >= a["c50"]).all()
 
 
 def test_pagerank_weighted_semantics(ray_session):

@@ -1,8 +1,8 @@
 """Graph operators over the KG quad table: clustering coefficient,
 truss support, Jaccard neighbors, assortativity, neighbor sampling,
-random walks, property unpivot, plus embedding quantization and the
-debounce / favorite-event rank operators (semantics + DuckDB oracle
-parity at sf0.001; the driver re-checks at sf0.01)."""
+random walks, property unpivot, plus embedding quantization
+(semantics + DuckDB oracle parity at sf0.001; tools/oracle_sweep.py
+re-checks at sf0.01)."""
 
 from __future__ import annotations
 
@@ -126,42 +126,6 @@ def test_kg_jaccard_neighbors_semantics(ray_session):
     }
 
 
-def test_debounce_events_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "debounce_events", sf_dir, ("events",))
-    n_all = duckdb.sql(f"SELECT count(*) FROM "
-                       f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert 0 < len(a) <= n_all
-    assert not a.duplicated("event_id").any()
-
-
-def test_debounce_events_semantics(ray_session, tmp_path):
-    """Burst of 3 clicks 10 s apart + one click 10 min later + an
-    interleaved view: keep the first click, the late click, and the
-    view (other type resets nothing)."""
-    import pandas as pd
-
-    from jsonld_js_ray.stages.rank import debounce_events
-
-    ts0 = pd.Timestamp("2024-01-01")
-    ev = pd.DataFrame({
-        "event_id": [1, 2, 3, 4, 5],
-        "ts": [ts0, ts0 + pd.Timedelta(seconds=10),
-               ts0 + pd.Timedelta(seconds=20),
-               ts0 + pd.Timedelta(minutes=10),
-               ts0 + pd.Timedelta(seconds=15)],
-        "user_id": [7, 7, 7, 7, 7],
-        "event_type": ["click", "click", "click", "click", "view"],
-    })
-    d = str(tmp_path)
-    ev.to_parquet(f"{d}/events.parquet")
-    out = debounce_events(d).to_pandas()
-    assert sorted(out["event_id"]) == [1, 4, 5]
-
-
 def test_kg_assortativity_oracle_parity_sf(ray_session, sf_dir):
     import __ray_entry__ as E
 
@@ -240,21 +204,6 @@ def test_kg_property_unpivot_roundtrips_pivot(ray_session, sf_dir):
     assert len(long) == n_cells
 
 
-def test_user_favorite_event_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
-    import __ray_entry__ as E
-
-    a = _parity(E, "user_favorite_event", sf_dir, ("events",))
-    # exactly one favorite per user, covering every user
-    n_users = duckdb.sql(
-        f"SELECT count(DISTINCT user_id) FROM "
-        f"'{sf_dir}/events.parquet'").fetchone()[0]
-    assert len(a) == n_users
-    assert not a.duplicated("user_id").any()
-    assert (a["n"] >= 1).all()
-
-
 def test_embed_quantize_oracle_parity_sf(ray_session, sf_dir):
     import __ray_entry__ as E
 
@@ -270,14 +219,14 @@ def test_kg_clustering_consistent_with_triangle_stats(ray_session,
     triangle count (each triangle has exactly 3 corners)."""
     import ray.data as rd
 
-    from jsonld_js_ray.pipelines.kg import build_quads_with_mentions
+    from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.stages.graph import (
         clustering_quads,
         triangle_stats,
     )
 
     per_node = clustering_quads(
-        build_quads_with_mentions(sf_dir)).to_pandas()
+        build_quads(sf_dir, entity_mapping={})).to_pandas()
     stats = triangle_stats(
-        build_quads_with_mentions(sf_dir)).to_pandas()
+        build_quads(sf_dir, entity_mapping={})).to_pandas()
     assert per_node["n_tri"].sum() == 3 * int(stats["n_triangles"][0])

@@ -1,9 +1,7 @@
-"""Tests: per-user rank operators, expansionMap/compactionMap hooks,
-link, load_document."""
+"""Tests: expansionMap/compactionMap hooks, link, load_document."""
 
 from __future__ import annotations
 
-import pyarrow as pa
 import pytest
 
 import jsonld_js_ray as jl
@@ -220,49 +218,3 @@ def test_expansion_map_info_carries_ctx_and_options():
     site = [i for i in infos if i.get("unmappedProperty") == "und"][0]
     assert "activeCtx" in site and "options" in site
     assert "parent" in site and "expandedParent" in site
-
-
-def test_rank_operators_match_oracle(ray_session, sf_dir):
-    import duckdb
-
-    from jsonld_js_ray.stages.rank import (
-        TOP_EVENTS_SQL, USER_QUANTILES_SQL, top_events_per_user,
-        user_value_quantiles,
-    )
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    for fn, sql in ((user_value_quantiles, USER_QUANTILES_SQL),
-                    (top_events_per_user, TOP_EVENTS_SQL)):
-        mine = fn(sf_dir).to_pandas()
-        orc = con.sql(sql).df()
-        cols = sorted(mine.columns)
-        a = mine[cols].sort_values(cols).reset_index(drop=True)
-        b = orc[cols].sort_values(cols).reset_index(drop=True)
-        assert a.equals(b.astype(a.dtypes.to_dict())), fn.__name__
-
-
-def test_quantiles_ignore_nulls(ray_session, tmp_path):
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    df = pd.DataFrame({
-        "event_id": range(6),
-        "user_id": [1, 1, 1, 2, 2, 3],
-        "ts": pd.to_datetime(["2026-01-01"] * 6),
-        "event_type": ["click"] * 6,
-        "value": [1.0, None, 3.0, 5.0, 7.0, None],
-    })
-    d = tmp_path / "sf"
-    d.mkdir()
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   d / "events.parquet")
-    from jsonld_js_ray.stages.rank import user_value_quantiles
-
-    out = user_value_quantiles(str(d)).to_pandas().set_index("user_id")
-    # user 1: values [1,3] (NULL ignored) → p50 = 1.0 (ceil(.5*2)=1)
-    assert out.loc[1, "p50"] == 1.0 and out.loc[1, "p95"] == 3.0
-    assert out.loc[2, "p50"] == 5.0
-    # user 3: all NULL → row present with NULL quantiles
-    assert 3 in out.index and pd.isna(out.loc[3, "p50"])
