@@ -317,20 +317,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_exact": td.q_dedup_exact,
         "dedup_minhash": td.q_dedup_minhash_checked,
         "dedup_simhash": td.q_dedup_simhash_checked,
-        "dedup_embedding": td.q_dedup_embedding,
         "dedup_ngram": td.q_dedup_ngram_checked,
         # planted-duplicate corpora (construction-based oracles for the
         # otherwise non-SQL-expressible LSH/sketch variants)
         "dedup_minhash_planted": td.q_dedup_minhash_planted,
-        "dedup_embedding_planted": td.q_dedup_embedding_planted,
         "dedup_ngram_planted": td.q_dedup_ngram_planted,
         "dedup_simhash_planted": td.q_dedup_simhash_planted,
         "fingerprint_classes_planted": td.q_fingerprint_classes_planted,
-        "knn_brute": td.q_knn_brute,
-        "knn_lsh": td.q_knn_lsh_checked,
-        "knn_ivf": td.q_knn_ivf_exhaustive,
-        "knn_pq": td.q_knn_pq_exhaustive,
-        "knn_ivfpq": td.q_knn_ivfpq_exhaustive,
         "text_stats": td.q_text_stats,
         "token_counts": td.q_token_counts,
         "split_assign": td.q_split_assign,
@@ -341,29 +334,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "scrub_pii": td.q_scrub_pii,
         "curation_filter": td.q_curation_filter,
         "decontaminate": td.q_decontaminate,
-        "decontaminate_ngram": td.q_decontaminate_ngram,
-        "dedup_substring": td.q_dedup_substring,
-        "kmeans_assign": td.q_kmeans_assign,
-        "semdedup": td.q_semdedup,
-        "pq_encode": td.q_pq_encode,
         "stratified_sample": td.q_stratified_sample,
         "mix_sources": td.q_mix_sources,
-        "tfidf_topk": td.q_tfidf_topk,
-        "inverted_index": td.q_inverted_index,
         "repetition": td.q_repetition,
         "corpus_token_quantiles": td.q_corpus_token_quantiles,
         "chunk_docs": td.q_chunk_docs,
-        "pack_sequences": td.q_pack_sequences,
-        "top_bigrams": td.q_top_bigrams,
         "length_outlier_filter": td.q_length_outlier_filter,
-        "lm_unigram_score": td.q_lm_unigram_score,
-        "lm_bigram_score": td.q_lm_bigram_score,
-        "lm_backoff_score": td.q_lm_backoff_score,
         "fingerprint": td.q_fingerprint,
-        "cms_token_counts": td.q_cms_token_counts,
-        "multimodal_features": td.q_multimodal_features,
-        "multimodal_audio": td.q_multimodal_audio,
-        "embed_quantize": _q_embed_quantize,
     }
 
 
@@ -525,12 +502,6 @@ def _resource_allocation_oracle() -> str:
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
 
 
-def _q_embed_quantize(sf_dir: str):
-    from jsonld_js_ray.stages.cluster import embed_quantize
-
-    return embed_quantize(sf_dir)
-
-
 def _pagerank_oracle() -> str:
     from jsonld_js_ray.pipelines.oracle import (
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL,
@@ -675,18 +646,6 @@ def _degree_hist_oracle() -> str:
     return _degree_hist_oracle_sql(KG_QUADS_WITH_MENTIONS_ORACLE_SQL)
 
 
-def _decon_ngram_oracle() -> str:
-    from jsonld_js_ray.stages.ngrams import decontaminate_ngram_sql
-
-    return decontaminate_ngram_sql()
-
-
-def _dedup_substring_oracle() -> str:
-    from jsonld_js_ray.stages.ngrams import dedup_substring_sql
-
-    return dedup_substring_sql()
-
-
 def _triangles_oracle() -> str:
     from jsonld_js_ray.pipelines.oracle import (
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL,
@@ -711,20 +670,10 @@ def oracle_sql() -> dict[str, str]:
         DEDUP_NGRAM_EXACT_SQL,
         DEDUP_PLANTED_SQL,
         SIMHASH_DEDUP_SQL,
-        EMBEDDING_PLANTED_SQL,
         FINGERPRINT_CLASSES_PLANTED_SQL,
         SIMHASH_PLANTED_SQL,
     )
     from jsonld_js_ray.stages.linker import MENTIONS_SQL
-    from jsonld_js_ray.stages.cluster import (
-        EMBED_QUANTIZE_SQL,
-        KMEANS_ASSIGN_SQL,
-        PQ_ENCODE_SQL,
-        SEMDEDUP_SQL,
-    )
-    from jsonld_js_ray.stages.ngrams import TOP_BIGRAMS_SQL
-    from jsonld_js_ray.stages.pack import PACK_SEQUENCES_SQL
-    from jsonld_js_ray.stages.similarity import KNN_BRUTE_SQL
     from jsonld_js_ray.stages.text import (
         CHUNK_DOCS_SQL,
         CORPUS_TOKEN_QUANTILES_SQL,
@@ -742,14 +691,6 @@ def oracle_sql() -> dict[str, str]:
         TEXT_STATS_SQL,
         TOKEN_COUNTS_SQL,
         curation_filter_sql,
-    )
-    from jsonld_js_ray.stages.dedup import EMBEDDING_DEDUP_SQL
-    from jsonld_js_ray.stages.tfidf import (
-        INVERTED_INDEX_SQL,
-        LM_BACKOFF_SCORE_SQL,
-        LM_BIGRAM_SCORE_SQL,
-        LM_UNIGRAM_SCORE_SQL,
-        TFIDF_TOPK_SQL,
     )
     from jsonld_js_ray.stages.entity_merge import (
         _entities_canonical_planted_sql,
@@ -852,34 +793,14 @@ def oracle_sql() -> dict[str, str]:
         # RAW dedup rows: exact ground-truth SQL (word/char Jaccard
         # closure; simhash recomputed bit-exactly in SQL via the
         # md5-derived token hash), valid under the in-run exactness
-        # certificates of the *_checked wrappers (knn_lsh pattern)
+        # certificates of the *_checked wrappers
         "dedup_minhash": DEDUP_MINHASH_EXACT_SQL,
         "dedup_ngram": DEDUP_NGRAM_EXACT_SQL,
         "dedup_simhash": SIMHASH_DEDUP_SQL,
         "dedup_minhash_planted": DEDUP_PLANTED_SQL,
-        "dedup_embedding_planted": EMBEDDING_PLANTED_SQL,
         "dedup_ngram_planted": DEDUP_PLANTED_SQL,
         "dedup_simhash_planted": SIMHASH_PLANTED_SQL,
         "fingerprint_classes_planted": FINGERPRINT_CLASSES_PLANTED_SQL,
-        "knn_brute": KNN_BRUTE_SQL,
-        # knn_lsh is approximate BY DESIGN; the exact top-k SQL is a
-        # valid oracle only in the recall-1.0 regime its defaults are
-        # sized for, so q_knn_lsh_checked verifies that precondition
-        # in-run and raises if it breaks (plus a recall floor asserted
-        # in tests/test_training_data.py)
-        "knn_lsh": KNN_BRUTE_SQL,
-        # knn_ivf query probes every centroid list (exhaustive) →
-        # equals brute by construction; the approximate scale path is
-        # recall-pinned in pytest
-        "knn_ivf": KNN_BRUTE_SQL,
-        # knn_pq with shortlist >= corpus reranks every candidate
-        # exactly → equals brute by construction; the production
-        # ADC-shortlist recall is pinned in pytest
-        "knn_pq": KNN_BRUTE_SQL,
-        # knn_ivfpq (IVFADC) probing every cell with shortlist >=
-        # corpus → equals brute by construction; production recall
-        # pinned in pytest
-        "knn_ivfpq": KNN_BRUTE_SQL,
         "text_stats": TEXT_STATS_SQL,
         # quality is exact integer ppm arithmetic over the text_stats
         # counters (floor division mirrored on both sides)
@@ -895,67 +816,24 @@ def oracle_sql() -> dict[str, str]:
         # benchmark-overlap decontamination: deterministic probe set
         # (doc_id % mod) + substring containment, exact on both sides
         "decontaminate": DECONTAMINATE_SQL,
-        # gram-hash semi-join (nothing broadcast): distinct shared
-        # token 5-grams vs the id-rule benchmark set
-        "decontaminate_ngram": _decon_ngram_oracle(),
-        # exact K-token-window dedup (Lee et al. 2022): pure set
-        # arithmetic over window strings — direct oracle on the raw
-        # corpus, unlike the probabilistic dedup families
-        "dedup_substring": _dedup_substring_oracle(),
-        # fixed-centroid cosine argmax (cross-join row_number in SQL)
-        "kmeans_assign": KMEANS_ASSIGN_SQL,
-        # SemDeDup rule: drop if an earlier cluster-mate has cos >= T
-        "semdedup": SEMDEDUP_SQL,
-        # per-subspace nearest codebook id, distances compared in f64
-        "pq_encode": PQ_ENCODE_SQL,
         # per-(lang, source) deterministic K-representative sample:
         # md5 hash order mirrored by row_number() in SQL
         "stratified_sample": STRATIFIED_SAMPLE_SQL,
         # per-source mixture resampling with epoch indices: integer
         # ppt weights + md5-prefix32 decisions, range/unnest in SQL
         "mix_sources": MIX_SOURCES_SQL,
-        # corpus-wide document frequency + per-doc top terms by tf/df
-        # (integer cross-ratio ordering — no floats in the contract)
-        "tfidf_topk": TFIDF_TOPK_SQL,
-        # token -> exact df + capped ascending posting list
-        "inverted_index": INVERTED_INDEX_SQL,
         # within-doc duplicate bigram/trigram fraction (integer ppm)
         "repetition": REPETITION_SQL,
         # corpus-wide exact token-count quantiles via value histogram
         "corpus_token_quantiles": CORPUS_TOKEN_QUANTILES_SQL,
         # overlapping token-window chunking (1->N flat_map class)
         "chunk_docs": CHUNK_DOCS_SQL,
-        # doc_id-order sequence packing (distributed prefix-sum scan)
-        "pack_sequences": PACK_SEQUENCES_SQL,
-        # global top-k bigram collocations (partial counts -> hash
-        # buckets -> bounded final sort; ties broken by words asc)
-        "top_bigrams": TOP_BIGRAMS_SQL,
         # self-calibrating length filter: corpus [p25, p99] band from
         # the exact quantile scan, then one streaming filter pass
         "length_outlier_filter": LENGTH_OUTLIER_FILTER_SQL,
-        # unigram-LM quality proxy: tf-weighted mean corpus token
-        # frequency per doc, integer-scaled (CCNet-style LM signal)
-        "lm_unigram_score": LM_UNIGRAM_SCORE_SQL,
-        # bigram-LM quality proxy: mean scaled conditional pair
-        # probability, integer floor arithmetic mirrored in SQL; one
-        # prefix-hash shuffle computes n1, n2 and the join in place
-        "lm_bigram_score": LM_BIGRAM_SCORE_SQL,
-        # held-out stupid-backoff LM (trained on even doc_ids only)
-        "lm_backoff_score": LM_BACKOFF_SCORE_SQL,
-        # symmetric int8 embedding quantization (3 IEEE doubles both
-        # sides; max-abs scale is order-free → hash-exact)
-        "embed_quantize": EMBED_QUANTIZE_SQL,
-        "dedup_embedding": EMBEDDING_DEDUP_SQL,
         # canonical lowercase/alnum-collapsed text (RE2 both sides)
         "normalize_text": NORMALIZE_TEXT_SQL,
         # No oracle (not SQL-expressible → driver rows-only check):
-        #   cms_token_counts (Count-Min sketch — one-sided bound
-        #     est >= exact and est-exact <= eN/W asserted exactly vs
-        #     the exact top-k twin in pytest),
         #   fingerprint (engine-specific winnowing hex; its equality
-        #     classes ARE oracled via fingerprint_classes_planted),
-        #   multimodal_features / multimodal_audio (real BMP/WAV
-        #     container decode — not SQL-expressible; codecs are
-        #     cross-checked against stdlib wave + golden BMP bytes
-        #     in pytest)
+        #     classes ARE oracled via fingerprint_classes_planted)
     }

@@ -41,7 +41,7 @@ HEADLINE_KEYS = ("metric", "value", "unit", "quads", "turns",
 
 
 def _warm_cache(sf_dir: str) -> None:
-    for name in ("events", "documents", "embeddings"):
+    for name in ("events", "documents"):
         path = f"{sf_dir}/{name}.parquet"
         if os.path.exists(path):
             with open(path, "rb") as f:
@@ -285,25 +285,12 @@ def run_bench() -> dict:
     property_unpivot(quads_m).count()
     queries["kg_property_unpivot"] = round(time.perf_counter() - t0, 3)
 
-    from jsonld_js_ray.stages.cluster import embed_quantize
-    t0 = time.perf_counter()
-    embed_quantize(SF_DIR).count()
-    queries["embed_quantize"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    _entry.queries()["cms_token_counts"](SF_DIR)
-    queries["cms_token_counts"] = round(time.perf_counter() - t0, 3)
-
-    # optional training-data ops (present from later milestones)
-    try:
-        from jsonld_js_ray.pipelines.training_data import bench_queries
-        for name, fn in bench_queries().items():
-            gc.collect()        # object-store hygiene between queries
-            t0 = time.perf_counter()
-            fn(SF_DIR)
-            queries[name] = round(time.perf_counter() - t0, 3)
-    except ImportError:
-        pass
+    from jsonld_js_ray.pipelines.training_data import bench_queries
+    for name, fn in bench_queries().items():
+        gc.collect()        # object-store hygiene between queries
+        t0 = time.perf_counter()
+        fn(SF_DIR)
+        queries[name] = round(time.perf_counter() - t0, 3)
 
     extras["quads"] = n_quads
     extras["turns"] = n_turns

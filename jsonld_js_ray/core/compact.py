@@ -18,7 +18,7 @@ from .types import (
     is_graph, is_keyword, is_list, is_simple_graph, is_string,
     is_subject_reference, is_value,
 )
-from .util import add_value, as_array, compare_shortest_least
+from .util import add_value, as_array, compare_shortest_least, js_sorted
 
 
 def compact(active_ctx: _ctx.ActiveContext, active_property: str | None,
@@ -124,7 +124,7 @@ def compact(active_ctx: _ctx.ActiveContext, active_property: str | None,
         # apply type-scoped contexts
         types = element.get("@type") or []
         if len(types) > 1:
-            types = sorted(types)
+            types = js_sorted(types)
         type_context = active_ctx
         for type_ in types:
             compacted_type = compact_iri(type_context, type_, vocab=True)
@@ -134,7 +134,7 @@ def compact(active_ctx: _ctx.ActiveContext, active_property: str | None,
                 active_ctx = _ctx.process_context(
                     active_ctx, ctx2, options, propagate=False)
 
-        for expanded_property in sorted(element.keys()):
+        for expanded_property in js_sorted(element):
             expanded_value = element[expanded_property]
 
             if expanded_property == "@id":

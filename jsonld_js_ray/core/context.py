@@ -20,7 +20,9 @@ from typing import Any, Callable
 from . import url as _url
 from .errors import JsonLdError
 from .types import KEYWORDS, is_keyword, is_potential_keyword
-from .util import as_array, compare_shortest_least, deep_clone, freeze
+from .util import (
+    as_array, compare_shortest_least, deep_clone, freeze, js_sorted,
+)
 
 MAX_CONTEXT_URLS = 10
 
@@ -1095,5 +1097,6 @@ def _create_inverse_context(active_ctx: ActiveContext) -> tuple[dict, list]:
             add_preferred(container_map["@language"], "@none", term)
             add_preferred(container_map["@type"], "@none", term)
 
-    curie_candidates = sorted(iris_to_terms.items())
+    curie_candidates = [(iri, iris_to_terms[iri])
+                        for iri in js_sorted(iris_to_terms)]
     return inverse, curie_candidates

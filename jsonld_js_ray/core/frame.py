@@ -23,7 +23,7 @@ from .types import (
 )
 from .util import (
     IdentifierIssuer, add_value, as_array, compare_values, deep_clone,
-    get_values, remove_value,
+    get_values, js_sorted, remove_value,
 )
 
 
@@ -47,7 +47,7 @@ def frame_merged_or_default(input_: Any, frame: Any, options: dict) -> list:
     state["subjects"] = state["graphMap"][state["graph"]]
 
     framed: list = []
-    do_frame(state, sorted(state["subjects"].keys()), frame, framed)
+    do_frame(state, js_sorted(state["subjects"]), frame, framed)
 
     if options.get("pruneBlankNodeIdentifiers"):
         options["bnodesToClear"] = [
@@ -75,7 +75,7 @@ def do_frame(state: dict, subjects: list[str], frame: Any, parent: Any,
     link = state["link"].setdefault(state["graph"], {})
     matches = _filter_subjects(state, subjects, frame, flags)
 
-    for id_ in sorted(matches.keys()):
+    for id_ in js_sorted(matches):
         subject = matches[id_]
 
         if property_ is None:
@@ -140,7 +140,7 @@ def do_frame(state: dict, subjects: list[str], frame: Any, parent: Any,
             if recurse:
                 sub_state = {**state, "graph": id_, "embedded": False}
                 do_frame(sub_state,
-                         sorted(state["graphMap"][id_].keys()),
+                         js_sorted(state["graphMap"][id_]),
                          [subframe], output, "@graph")
 
         if "@included" in frame:
@@ -148,7 +148,7 @@ def do_frame(state: dict, subjects: list[str], frame: Any, parent: Any,
             do_frame(sub_state, subjects, frame["@included"], output,
                      "@included")
 
-        for prop in sorted(subject.keys()):
+        for prop in js_sorted(subject):
             if is_keyword(prop):
                 output[prop] = deep_clone(subject[prop])
                 if prop == "@type":
@@ -189,7 +189,7 @@ def do_frame(state: dict, subjects: list[str], frame: Any, parent: Any,
                     _add_frame_output(output, prop, deep_clone(o))
 
         # defaults
-        for prop in sorted(frame.keys()):
+        for prop in js_sorted(frame):
             if prop == "@type":
                 if not isinstance(frame[prop][0], dict) or \
                         "@default" not in frame[prop][0]:
@@ -209,7 +209,7 @@ def do_frame(state: dict, subjects: list[str], frame: Any, parent: Any,
                 output[prop] = [{"@preserve": preserve}]
 
         # @reverse in frame
-        for reverse_prop in sorted((frame.get("@reverse") or {}).keys()):
+        for reverse_prop in js_sorted(frame.get("@reverse") or {}):
             subframe = frame["@reverse"][reverse_prop]
             for subj_id in list(state["subjects"].keys()):
                 node_values = get_values(

@@ -19,7 +19,7 @@ from .constants import (
 )
 from .errors import JsonLdError
 from .types import is_blank_node, is_subject_reference
-from .util import add_value
+from .util import add_value, js_sorted
 
 REGEX_BCP47 = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
@@ -118,12 +118,12 @@ def from_rdf(dataset: list[tuple], options: dict | None = None) -> list:
         nil.pop("usages", None)
 
     result = []
-    for subject in sorted(default_graph.keys()):
+    for subject in js_sorted(default_graph):
         node = default_graph[subject]
         if subject in graph_map:
             graph_nodes = node["@graph"] = []
             graph_object = graph_map[subject]
-            for graph_subject in sorted(graph_object.keys()):
+            for graph_subject in js_sorted(graph_object):
                 gnode = graph_object[graph_subject]
                 gnode.pop("usages", None)
                 if not is_subject_reference(gnode):

@@ -254,15 +254,14 @@ def build_entity_mapping(sf_dir: str, threshold: float = 0.6) -> dict:
     MAX_ROUNDS hops; the two paths agree whenever propagation
     converges)."""
     from ..sources.transcripts import read_transcripts
-    from ..stages.entity_merge import surface_stats, verified_edges
+    from ..stages.entity_merge import (_UnionFind, surface_stats,
+                                       verified_edges)
     from ..stages.linker import detect_mentions
 
     mentions = detect_mentions(read_transcripts(sf_dir))
     stats = surface_stats(mentions).materialize()
     edges = verified_edges(stats, threshold).to_pandas()
     surfaces = stats.select_columns(["surface"]).to_pandas()["surface"]
-
-    from ..stages.dedup import _UnionFind
 
     uf = _UnionFind()
     for s in surfaces:

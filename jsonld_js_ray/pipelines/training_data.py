@@ -1,7 +1,7 @@
-"""Training-data pipeline entry points over documents/embeddings.
+"""Training-data pipeline entry points over the documents table.
 
-Thin wrappers tying the dedup / similarity / text / multimodal stages to
-``sf_dir`` inputs for ``__ray_entry__.queries()`` and ``bench.py``.
+Thin wrappers tying the dedup / text stages to ``sf_dir`` inputs for
+``__ray_entry__.queries()`` and ``bench.py``.
 """
 
 from __future__ import annotations
@@ -25,22 +25,6 @@ def _docs(sf_dir: str):
                   zero_copy_batch=True)
 
 
-def _embeddings(sf_dir: str):
-    import ray.data as rd
-
-    # batch_size bundles the toy-scale read's 64-way block split into
-    # a few real tasks (measured 1.5x on the embedding dedup family).
-    # 2048 = the MINIMUM batch size any embedding consumer requests
-    # (the cluster stages), so no consumer's task granularity
-    # collapses. At real scale batch_size is ALSO a slicing target
-    # (2048 embedding rows ≈ 6 MB zero-copy UDF batches for the
-    # metadata strip — an acceptable batch shape either way).
-    return rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True, batch_size=2048)
-
-
 def q_dedup_exact(sf_dir: str):
     from ..stages.dedup import exact_dedup
 
@@ -57,62 +41,6 @@ def q_dedup_simhash(sf_dir: str):
     from ..stages.dedup import simhash_dedup
 
     return simhash_dedup(_docs(sf_dir))
-
-
-def q_dedup_embedding(sf_dir: str):
-    from ..stages.dedup import embedding_dedup
-
-    return embedding_dedup(_embeddings(sf_dir))
-
-
-def q_knn_brute(sf_dir: str):
-    from ..stages.similarity import knn_brute
-
-    return knn_brute(_embeddings(sf_dir))
-
-
-def q_knn_lsh(sf_dir: str):
-    from ..stages.similarity import knn_lsh
-
-    return knn_lsh(_embeddings(sf_dir))
-
-
-def q_knn_lsh_checked(sf_dir: str):
-    """knn_lsh with an explicit recall pre-check against knn_brute.
-
-    knn_lsh is approximate BY DESIGN; its exact-SQL oracle
-    (KNN_BRUTE_SQL) is valid only in the recall-1.0 parameter regime the
-    defaults are sized for. This driver-facing variant verifies that
-    precondition on the (k·n_queries)-row results and fails LOUDLY if a
-    corpus/parameter change breaks it — so the oracle gate can never
-    silently compare an under-recall result."""
-    import ray.data as rd
-
-    from ..stages.similarity import knn_brute, knn_lsh
-
-    lsh = knn_lsh(_embeddings(sf_dir)).to_pandas()
-    brute = knn_brute(_embeddings(sf_dir)).to_pandas()
-    got = set(zip(lsh["query_id"], lsh["vec_id"]))
-    want = set(zip(brute["query_id"], brute["vec_id"]))
-    if got != want:
-        recall = len(got & want) / max(len(want), 1)
-        raise RuntimeError(
-            f"knn_lsh recall pre-check failed (recall={recall:.3f} < 1.0):"
-            f" the exact KNN_BRUTE_SQL oracle does not apply at these"
-            f" parameters/corpus — widen tables/bits or drop the oracle")
-    # hand back a Dataset like every other queries() entry
-    return rd.from_pandas(lsh)
-
-
-def q_knn_ivf_exhaustive(sf_dir: str):
-    """knn_ivf probing EVERY centroid list — scans all vectors, so the
-    result equals knn_brute by construction (asserted in
-    tests/test_training_data.py::test_knn_ivf_probe_all_equals_brute)
-    and carries KNN_BRUTE_SQL as an exact oracle. The approximate
-    n_probe < n_centroids scale path stays recall-pinned in pytest."""
-    from ..stages.similarity import IVF_CENTROIDS, knn_ivf
-
-    return knn_ivf(_embeddings(sf_dir), n_probe=IVF_CENTROIDS)
 
 
 def q_text_stats(sf_dir: str):
@@ -183,12 +111,6 @@ def q_mix_sources(sf_dir: str):
     return mix_sources(docs)
 
 
-def q_tfidf_topk(sf_dir: str):
-    from ..stages.tfidf import tfidf_topk
-
-    return tfidf_topk(_docs(sf_dir))
-
-
 def q_chunk_docs(sf_dir: str):
     from ..stages.text import chunk_docs_batch
 
@@ -205,28 +127,10 @@ def q_corpus_token_quantiles(sf_dir: str):
     return rd.from_arrow(corpus_token_quantiles(_docs(sf_dir)))
 
 
-def q_lm_unigram_score(sf_dir: str):
-    from ..stages.tfidf import lm_unigram_score
-
-    return lm_unigram_score(_docs(sf_dir))
-
-
 def q_length_outlier_filter(sf_dir: str):
     from ..stages.text import length_outlier_filter
 
     return length_outlier_filter(_docs(sf_dir))
-
-
-def q_top_bigrams(sf_dir: str):
-    from ..stages.ngrams import top_bigrams
-
-    return top_bigrams(_docs(sf_dir))
-
-
-def q_pack_sequences(sf_dir: str):
-    from ..stages.pack import pack_sequences
-
-    return pack_sequences(_docs(sf_dir))
 
 
 def q_repetition(sf_dir: str):
@@ -236,91 +140,10 @@ def q_repetition(sf_dir: str):
         repetition_batch, batch_format="pyarrow", batch_size=8192)
 
 
-def q_inverted_index(sf_dir: str):
-    from ..stages.tfidf import inverted_index
-
-    return inverted_index(_docs(sf_dir))
-
-
 def q_decontaminate(sf_dir: str):
     from ..stages.text import decontaminate
 
     return decontaminate(_docs(sf_dir))
-
-
-def q_kmeans_assign(sf_dir: str):
-    from ..stages.cluster import kmeans_assign
-
-    return kmeans_assign(_embeddings(sf_dir))
-
-
-def q_semdedup(sf_dir: str):
-    from ..stages.cluster import semdedup
-
-    return semdedup(_embeddings(sf_dir))
-
-
-def q_knn_pq_exhaustive(sf_dir: str):
-    """shortlist >= corpus ⇒ the exact rerank sees every candidate ⇒
-    equals knn_brute BY CONSTRUCTION — carries the brute SQL oracle
-    (same pattern as q_knn_ivf_exhaustive); the production shortlist's
-    recall is pinned in pytest."""
-    from ..stages.similarity import knn_pq
-
-    return knn_pq(_embeddings(sf_dir), shortlist=10 ** 9)
-
-
-def q_knn_ivfpq_exhaustive(sf_dir: str):
-    """IVFADC probing EVERY cell with shortlist >= corpus ⇒ the exact
-    rerank sees every candidate ⇒ equals knn_brute BY CONSTRUCTION —
-    carries the brute SQL oracle (same pattern as the ivf/pq
-    exhaustive twins); the production (n_probe, shortlist) recall is
-    pinned in pytest."""
-    from ..stages.similarity import IVF_CENTROIDS, knn_ivfpq
-
-    return knn_ivfpq(_embeddings(sf_dir), n_probe=IVF_CENTROIDS,
-                     shortlist=10 ** 9)
-
-
-def q_pq_encode(sf_dir: str):
-    from ..stages.cluster import pq_encode
-
-    return pq_encode(_embeddings(sf_dir))
-
-
-def q_decontaminate_ngram(sf_dir: str):
-    from ..stages.ngrams import decontaminate_ngram
-
-    return decontaminate_ngram(_docs(sf_dir))
-
-
-def q_lm_bigram_score(sf_dir: str):
-    from ..stages.tfidf import lm_bigram_score
-
-    return lm_bigram_score(_docs(sf_dir))
-
-
-def q_lm_backoff_score(sf_dir: str):
-    from ..stages.tfidf import lm_backoff_score
-
-    return lm_backoff_score(_docs(sf_dir))
-
-
-def q_dedup_substring(sf_dir: str):
-    from ..stages.ngrams import dedup_substring
-
-    return dedup_substring(_docs(sf_dir))
-
-
-def q_cms_token_counts(sf_dir: str):
-    import ray.data as rd
-
-    from ..stages.sketches import cms_token_counts, exact_top_tokens
-
-    cand, _ = exact_top_tokens(_docs(sf_dir), 20)
-    # Dataset wrapper: registry contract (every queries() entry
-    # returns a Dataset the driver can .count()/.to_pandas())
-    return rd.from_arrow(cms_token_counts(_docs(sf_dir), cand))
 
 
 def q_fingerprint(sf_dir: str):
@@ -328,19 +151,6 @@ def q_fingerprint(sf_dir: str):
 
     return _docs(sf_dir).map_batches(
         fingerprint_batch, batch_format="pyarrow", batch_size=1024)
-
-
-def q_multimodal_features(sf_dir: str):
-    """Synthetic media (deterministic; no media libs in container) →
-    decode/feature actor stage. sf_dir sizes the table."""
-    import ray.data as rd
-
-    from ..stages.multimodal import decode_features, synthesize_media_table
-
-    n = {"sf0.001": 32, "sf0.01": 128, "sf0.1": 512}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64)
-    media = rd.from_arrow(synthesize_media_table(n_items=n))
-    return decode_features(media)
 
 
 def bench_queries():
@@ -353,40 +163,21 @@ def bench_queries():
         "dedup_minhash": run(q_dedup_minhash),
         "dedup_ngram": run(q_dedup_ngram),
         "dedup_simhash": run(q_dedup_simhash),
-        "dedup_embedding": run(q_dedup_embedding),
         "dedup_minhash_planted": run(q_dedup_minhash_planted),
         "dedup_ngram_planted": run(q_dedup_ngram_planted),
         "dedup_simhash_planted": run(q_dedup_simhash_planted),
-        "dedup_embedding_planted": run(q_dedup_embedding_planted),
-        "knn_brute": run(q_knn_brute),
-        "knn_lsh": run(q_knn_lsh),
-        "knn_pq": run(q_knn_pq_exhaustive),
         "text_stats": run(q_text_stats),
         "lang_id": run(q_lang_id),
         "fingerprint": run(q_fingerprint),
         "scrub_pii": run(q_scrub_pii),
         "curation_filter": run(q_curation_filter),
         "decontaminate": run(q_decontaminate),
-        "decontaminate_ngram": run(q_decontaminate_ngram),
-        "dedup_substring": run(q_dedup_substring),
-        "kmeans_assign": run(q_kmeans_assign),
-        "semdedup": run(q_semdedup),
-        "pq_encode": run(q_pq_encode),
         "mix_sources": run(q_mix_sources),
         "stratified_sample": run(q_stratified_sample),
-        "tfidf_topk": run(q_tfidf_topk),
-        "inverted_index": run(q_inverted_index),
         "repetition": run(q_repetition),
         "chunk_docs": run(q_chunk_docs),
         "corpus_token_quantiles": run(q_corpus_token_quantiles),
-        "pack_sequences": run(q_pack_sequences),
-        "top_bigrams": run(q_top_bigrams),
         "length_outlier_filter": run(q_length_outlier_filter),
-        "lm_unigram_score": run(q_lm_unigram_score),
-        "lm_bigram_score": run(q_lm_bigram_score),
-        "lm_backoff_score": run(q_lm_backoff_score),
-        "knn_ivf": run(q_knn_ivf),
-        "knn_ivfpq": run(q_knn_ivfpq_exhaustive),
         "normalize_text": run(q_normalize_text),
     }
 
@@ -402,11 +193,10 @@ def q_dedup_ngram(sf_dir: str):
 # The raw LSH dedup rows are approximate in CANDIDATE GENERATION only
 # (verification is exact), so their exact ground-truth SQL oracles
 # (DEDUP_MINHASH_EXACT_SQL / DEDUP_NGRAM_EXACT_SQL / SIMHASH_DEDUP_SQL)
-# are valid exactly when candidate recall is 1.0 on the corpus. The
-# knn_lsh precedent (q_knn_lsh_checked): verify that precondition
-# IN-RUN against an independent exact referee and raise LOUDLY if it
-# ever breaks, so the oracle gate can never silently compare an
-# under-recall result. The text-Jaccard referee is O(n²) pair
+# are valid exactly when candidate recall is 1.0 on the corpus. So
+# each checked wrapper verifies that precondition IN-RUN against an
+# independent exact referee and raises LOUDLY if it ever breaks, so
+# the oracle gate can never silently compare an under-recall result. The text-Jaccard referee is O(n²) pair
 # verification, so it runs only below DEDUP_CHECK_MAX_DOCS — sized to
 # cover every oracle-gate corpus (sf0.01 = 500 docs); above the bound
 # (e.g. bench at sf0.1) the raw pipeline runs uncertified, as before.
@@ -436,7 +226,7 @@ def _expected_labels(ids, pairs_a, pairs_b):
     referee pair list — the same union-find labeling the engine uses."""
     import pandas as pd
 
-    from ..stages.dedup import _UnionFind
+    from ..stages.entity_merge import _UnionFind
 
     uf = _UnionFind()
     for a, b in zip(pairs_a, pairs_b):
@@ -571,12 +361,6 @@ def q_dedup_simhash_checked(sf_dir: str):
     return rd.from_pandas(got)
 
 
-def q_dedup_embedding_planted(sf_dir: str):
-    from ..stages.dedup import embedding_dedup_planted
-
-    return embedding_dedup_planted(_embeddings(sf_dir))
-
-
 def q_dedup_minhash_planted(sf_dir: str):
     from ..stages.dedup import minhash_lsh_dedup_planted
 
@@ -633,30 +417,11 @@ def q_fingerprint_classes_planted(sf_dir: str):
         .groupby("bucket").map_groups(per_bucket, batch_format="pandas")
 
 
-def q_multimodal_audio(sf_dir: str):
-    """Synthetic audio (deterministic real WAV) → decode/feature actor
-    stage; sf_dir sizes the table."""
-    import ray.data as rd
-
-    from ..stages.multimodal import audio_features, synthesize_audio_table
-
-    n = {"sf0.001": 32, "sf0.01": 128, "sf0.1": 512}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64)
-    media = rd.from_arrow(synthesize_audio_table(n_items=n))
-    return audio_features(media)
-
-
 def q_token_counts(sf_dir: str):
     from ..stages.text import token_counts_batch
 
     return _docs(sf_dir).map_batches(
         token_counts_batch, batch_format="pyarrow", batch_size=8192)
-
-
-def q_knn_ivf(sf_dir: str):
-    from ..stages.similarity import knn_ivf
-
-    return knn_ivf(_embeddings(sf_dir))
 
 
 def q_split_assign(sf_dir: str):

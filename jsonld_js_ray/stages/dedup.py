@@ -1,6 +1,6 @@
 """Deduplication operators over the ``documents`` table.
 
-Five variants (each a ``queries()`` entry):
+Four variants (each a ``queries()`` entry):
 
 - exact        md5(text) → hash-partitioned groupby → keep min doc_id.
                SQL-mirrored (DEDUP_EXACT_SQL).
@@ -11,8 +11,6 @@ Five variants (each a ``queries()`` entry):
 - ngram        character-n-gram Jaccard verification (the exact kernel
                the LSH variants approximate) — standalone pairwise op
                within buckets.
-- embedding    cosine near-dup over the embeddings table (numpy matmul
-               per block against a broadcast matrix).
 
 Scale notes: every variant pre-aggregates inside map_batches before its
 groupby; candidate-pair generation happens in the band-bucket groupby
@@ -29,6 +27,11 @@ import re
 
 import numpy as np
 import pyarrow as pa
+
+from .entity_merge import (
+    _MH_A, _MH_B, NUM_PERMS, _UnionFind, _cap_event, _hash64,
+    hash_shingle_array, perm_min_hashes,
+)
 
 # RE2-'\S+'-exact tokenizer. The SQL oracles tokenize with DuckDB's
 # regexp_extract_all(..., '\S+'), and RE2's \s is ASCII-only
@@ -56,7 +59,6 @@ def ws_tokens(text: str) -> list[str]:
     return _RE2_NONSPACE.findall(text)
 
 
-NUM_PERMS = 64
 BANDS = 16
 ROWS_PER_BAND = NUM_PERMS // BANDS
 MAX_PAIRS_PER_BUCKET = 10_000
@@ -113,22 +115,8 @@ def word_shingles(text: str, k: int = 3) -> set[str]:
     return {" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)}
 
 
-# multiply-shift permutation family: h_p(x) = (A_p·x + B_p) mod 2^64
-# with A_p a random ODD 64-bit multiplier and x a 64-bit shingle hash.
-# The product wraps 2^64 many times for any x, so the per-permutation
-# rank orders are decorrelated. (The previous (A·x+B) mod (2^61-1) form
-# with A < 2^29 and a 32-bit x almost never wrapped the modulus — h was
-# monotone in x for most permutations, i.e. every "permutation" agreed
-# on which shingle was the minimum, silently collapsing LSH recall.)
-_mh_rng = np.random.RandomState(0xC0FFEE)
-_MH_A = ((_mh_rng.randint(0, 1 << 62, size=NUM_PERMS).astype(np.uint64)
-          << np.uint64(1)) | np.uint64(1))
-_MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
-         << np.uint64(32)) \
-    | _mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
-
 # char-gram variant uses its OWN 144-perm family (separate RNG stream so
-# the word-shingle signatures above are byte-identical to before):
+# the word-shingle family in entity_merge stays byte-identical):
 # more perms let char banding run 16 bands x 9 rows — the 9-row band
 # keeps background admission at the 8-row level (~2% at J=0.48) while 16
 # bands cut the per-pair miss at near-threshold J=0.91 from 6.6e-3 to
@@ -141,26 +129,6 @@ _MH_A_CHAR = ((_mh_char_rng.randint(0, 1 << 62, size=CHAR_PERMS)
 _MH_B_CHAR = (_mh_char_rng.randint(0, 1 << 32, size=CHAR_PERMS)
               .astype(np.uint64) << np.uint64(32)) \
     | _mh_char_rng.randint(0, 1 << 32, size=CHAR_PERMS).astype(np.uint64)
-
-
-def hash_shingle_array(shingles: list) -> np.ndarray:
-    """Vectorized process-stable 64-bit hashes for a list of shingle
-    strings (pandas hash_array: siphash with a fixed key — C speed,
-    no per-string Python hashing)."""
-    import pandas as pd
-
-    if not shingles:
-        return np.zeros(0, dtype=np.uint64)
-    return pd.util.hash_array(np.asarray(shingles, dtype=object))
-
-
-def perm_min_hashes(base: np.ndarray,
-                    num_perms: int = NUM_PERMS) -> np.ndarray:
-    """(n_shingles,) uint64 hashes → (num_perms,) MinHash signature via
-    the vectorized multiply-shift matrix (wraparound is intentional)."""
-    vals = (_MH_A[:num_perms, None] * base[None, :]
-            + _MH_B[:num_perms, None])          # uint64 mod-2^64 wrap
-    return vals.min(axis=1)
 
 
 def minhash_sig(text: str) -> np.ndarray:
@@ -224,8 +192,6 @@ def _band_rows(doc_ids: list, sigs: np.ndarray, seed: int,
     numpy pass per row position — no per-(doc × band) Python. Equal
     chunks hash equal (recall preserved); accidental collisions only add
     candidates that Jaccard verification rejects."""
-    from .sketches import _hash64
-
     rows_per_band = sigs.shape[1] // bands if sigs.ndim == 2 else \
         NUM_PERMS // bands
     n = len(doc_ids)
@@ -266,35 +232,6 @@ class MinHashStage:
 
 
 
-class _UnionFind:
-    """Path-halving union-find keeping the SMALLEST member as root
-    (cluster id = min of cluster). Generic over any ordered hashable
-    key (doc ids, surface strings) — the single implementation shared
-    by every near-dup variant, entity_merge.build_canonical_mapping and
-    pipelines.kg.build_entity_mapping, so the min-root rule cannot
-    silently diverge between paths."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent
-        p.setdefault(x, x)
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb))
-            self.parent[hi] = lo
-
-    def cluster_map(self) -> dict:
-        return {x: self.find(x) for x in self.parent}
-
-
 def _label_clusters(docs, cluster_of: dict[int, int]):
     """Broadcast the (small) cluster map and emit
     (doc_id, cluster_id, keep) for every document."""
@@ -319,7 +256,6 @@ def _label_clusters(docs, cluster_of: dict[int, int]):
                             batch_size=8192)
 
 
-VERIFY_SHARDS = 64          # legacy constant (kept for tests/docs)
 # verify shard count SCALES with the candidate-pair count: every doc's
 # gram array ships once per shard that holds one of its pairs, so a
 # fixed large shard count multiplies the gram shuffle weight by
@@ -357,8 +293,6 @@ def _pair_hash64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the generators, so order sensitivity is fine) — the pure-pair
     routing key that makes duplicate candidates from different LSH
     buckets co-locate in one verify shard."""
-    from .sketches import _hash64
-
     ua = np.ascontiguousarray(a, dtype=np.int64).view(np.uint64)
     ub = np.ascontiguousarray(b, dtype=np.int64).view(np.uint64)
     return _hash64(_hash64(ua) ^ ub)
@@ -457,8 +391,6 @@ def _verified_pairs_ds(docs, pairs, kind: str, threshold: float,
     task); without it the bucket count follows the verify-shard count."""
     import pandas as pd
     import ray.data as rd
-
-    from .sketches import _hash64
 
     if not isinstance(pairs, rd.Dataset):
         if not len(pairs):
@@ -645,8 +577,6 @@ def _pairs_from_buckets(banded, key_cols: list[str], pair_fn=None,
         # chained splitmix64 over the (all-integer) key columns; a
         # collision only co-locates two buckets in one shard — the
         # in-shard groupby is on the real key columns
-        from .sketches import _hash64
-
         cols = [t[c].to_numpy(zero_copy_only=False) for c in _cols]
         h = _hash64(cols[0].astype(np.int64).view(np.uint64))
         for c in cols[1:]:
@@ -672,17 +602,6 @@ def _pairs_from_buckets(banded, key_cols: list[str], pair_fn=None,
 
     return banded.map_batches(add_shard, batch_format="pyarrow") \
         .groupby("_shard").map_groups(shard_pairs, batch_format="pandas")
-
-
-def _cap_event(msg: str, strict: bool) -> None:
-    """Hot-bucket cap policy: strict mode RAISES (oracle/correctness
-    runs must not pass while dropping candidates — worker warnings are
-    easy to miss on the driver); non-strict warns and truncates."""
-    import warnings
-
-    if strict:
-        raise RuntimeError(f"strict_caps: {msg}")
-    warnings.warn(msg)
 
 
 def _bucket_pairs(g, strict: bool = False):
@@ -801,7 +720,7 @@ FROM r GROUP BY n
 # candidate generation approximates; verification is exact either way),
 # then the same closure labeling. Valid whenever LSH candidate recall
 # is 1.0 on the corpus — certified IN-RUN by the registered checked
-# wrapper (training_data._dedup_checked), knn_lsh-style. O(n^2)-join
+# wrapper (training_data.q_dedup_minhash_checked). O(n^2)-join
 # SQL is fine: oracles only ever run at the sf0.01 gate (500 docs).
 DEDUP_MINHASH_EXACT_SQL = rf"""
 WITH RECURSIVE
@@ -1097,140 +1016,6 @@ def ngram_jaccard(a: str, b: str, n: int = 3) -> float:
     return len(sa & sb) / un if un else 0.0
 
 
-# --- embedding cosine near-dup ---
-
-EMB_DEDUP_TABLES = 8
-EMB_DEDUP_BITS = 8
-EMB_DEDUP_SHARDS = 64
-
-
-def embedding_dedup(embeddings, threshold: float = 0.95,
-                    tables: int = EMB_DEDUP_TABLES,
-                    bits: int = EMB_DEDUP_BITS,
-                    strict_caps: bool = False):
-    """embeddings Dataset → (vec_id, cluster_id, keep): near-dup = cosine
-    ≥ threshold vs an earlier vector (cluster = min such id, else self).
-
-    LSH-bucketed, fully distributed — NO driver-side matrix:
-
-      1. map_batches: per vector, ``tables`` rows (table_id, bucket,
-         vec_id, embedding) via fixed-seed hyperplane signatures
-         (``similarity.lsh_signatures``);
-      2. groupby(table_id, bucket): EXACT float64 pairwise cosine inside
-         each bucket → (vec_id, cand = min earlier qualifying id);
-      3. union with identity rows + ``groupby(vec_id).aggregate(Min)``.
-
-    Candidate recall: a cosine-0.95 pair disagrees per hyperplane with
-    p = acos(.95)/π ≈ 0.10, so the all-tables miss probability is
-    (1-0.9^bits)^tables ≈ 1.2% at the defaults and falls fast with
-    vector similarity (≈ 8e-5 at cosine 0.99). Verification is exact, so
-    false candidates never merge. Size ``bits`` ≈ log2(n/bucket_size)
-    for larger corpora. In-bucket work is m² — a pathological bucket is
-    capped with a WARNING (never silently)."""
-    import functools
-    import warnings
-
-    from ray.data.aggregate import Min
-
-    from .similarity import _hyperplanes, lsh_signatures
-
-    planes_by_dim: dict[int, np.ndarray] = {}
-
-    def explode(batch: pa.Table) -> pa.Table:
-        from ..rayutil import embedding_batch as _embedding_batch
-        vec_ids, vecs = _embedding_batch(batch)
-        dim = vecs.shape[1]
-        if dim not in planes_by_dim:
-            planes_by_dim[dim] = _hyperplanes(dim, tables, bits)
-        nvecs = vecs / np.maximum(
-            np.linalg.norm(vecs, axis=1, keepdims=True), 1e-12)
-        sigs = lsh_signatures(nvecs, planes_by_dim[dim], tables, bits)
-        n = len(vec_ids)
-        table_col = np.repeat(np.arange(tables, dtype=np.int32), n)
-        bucket_col = sigs.T.reshape(-1)
-        # coarse shuffle key: a few dozen shards instead of one Ray
-        # group per (table, bucket) — per-group dispatch costs ~1ms,
-        # which dominates with thousands of tiny buckets; the fine
-        # bucket structure is re-grouped VECTORIZED inside each shard.
-        # Multiplicative mix: a left-shift would vanish mod a power-of-
-        # two shard count, collapsing all tables onto bucket % SHARDS.
-        shard = (table_col.astype(np.int64) * 1_000_003
-                 + bucket_col.astype(np.int64)) % EMB_DEDUP_SHARDS
-        return pa.table({
-            "shard": pa.array(shard.astype(np.int32)),
-            "table_id": pa.array(table_col),
-            "bucket": pa.array(bucket_col),
-            "vec_id": pa.array(np.tile(vec_ids, tables)),
-            "embedding": pa.concat_arrays(
-                [batch["embedding"].combine_chunks()
-                 if isinstance(batch["embedding"], pa.ChunkedArray)
-                 else batch["embedding"]] * tables),
-        })
-
-    max_members = int(np.sqrt(2 * MAX_PAIRS_PER_BUCKET)) + 1
-
-    def bucket_cands(g, _threshold=threshold, _strict=strict_caps):
-        import pandas as pd
-
-        ids = g["vec_id"].to_numpy().astype(np.int64)
-        order = np.argsort(ids)
-        g = g.iloc[order]
-        ids = ids[order]
-        if len(ids) < 2:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cand": pa.array([], pa.int64())})
-        if len(ids) > max_members:
-            _cap_event(
-                f"embedding LSH bucket with {len(ids)} vectors exceeds "
-                f"the verification cap ({max_members}); truncating — "
-                f"increase bits for this corpus size", _strict)
-            g, ids = g.iloc[:max_members], ids[:max_members]
-        mat = np.stack([np.asarray(v, dtype=np.float64)
-                        for v in g["embedding"]])
-        mat = mat / np.maximum(
-            np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-        sims = mat @ mat.T
-        qual = np.tril(sims >= _threshold, -1)       # strictly earlier
-        has = qual.any(axis=1)
-        first = qual.argmax(axis=1)                  # ids sorted → min id
-        return pa.table({
-            "vec_id": pa.array(ids[has], pa.int64()),
-            "cand": pa.array(ids[first[has]], pa.int64()),
-        })
-
-    def shard_cands(g):
-        outs = [bucket_cands(sub)
-                for _, sub in g.groupby(["table_id", "bucket"],
-                                        sort=False)]
-        if not outs:
-            return pa.table({"vec_id": pa.array([], pa.int64()),
-                             "cand": pa.array([], pa.int64())})
-        return pa.concat_tables(outs)
-
-    exploded = embeddings.map_batches(explode, batch_format="pyarrow",
-                                      batch_size=4096)
-    cands = exploded.groupby("shard").map_groups(
-        shard_cands, batch_format="pandas")
-
-    def identity_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["vec_id"].cast(pa.int64())
-        return pa.table({"vec_id": ids, "cand": ids})
-
-    ident = embeddings.map_batches(identity_rows, batch_format="pyarrow")
-    clusters = ident.union(cands).groupby("vec_id").aggregate(
-        Min("cand", alias_name="cluster_id"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "vec_id": batch["vec_id"],
-            "cluster_id": batch["cluster_id"],
-            "keep": pc.equal(batch["vec_id"], batch["cluster_id"]),
-        })
-
-    return clusters.map_batches(finish, batch_format="pyarrow")
-
-
 CHAR_BANDS = 16   # char-gram banding: 16 bands x 8 rows of CHAR_PERMS.
 # Unrelated prose shares MANY char 3-grams (measured cross-doc Jaccard
 # median ~0.48 on the synthetic corpus), so the word-shingle 16x4
@@ -1278,33 +1063,6 @@ def ngram_jaccard_dedup(docs, threshold: float = NGRAM_THRESHOLD,
     for a, b in zip(verified.get("a", []), verified.get("b", [])):
         uf.union(int(a), int(b))
     return _label_clusters(docs, uf.cluster_map())
-
-
-# Oracle for embedding_dedup: cluster = min EARLIER vec_id with cosine >=
-# threshold (else self) — the EXACT semantics. The engine path is
-# LSH-bucketed (approximate candidates, exact in-bucket verification):
-# it can never OVER-merge vs this SQL, and it under-merges only when a
-# qualifying pair misses every table. The sf test corpora contain ZERO
-# qualifying pairs (max off-diagonal cosine ≈ 0.51, verified), so this
-# check pins the no-false-positive side; the recall side is pinned by
-# the construction-guaranteed EMBEDDING_PLANTED_SQL below (exact copies
-# share every signature, so LSH recall for them is 1 by construction)
-# and by the planted-cluster pytest.
-EMBEDDING_DEDUP_SQL = """
-WITH pairs AS (
-  SELECT a.vec_id AS vid,
-         min(b.vec_id) AS cluster_candidate
-  FROM embeddings a JOIN embeddings b
-    ON b.vec_id < a.vec_id
-   AND list_cosine_similarity(a.embedding, b.embedding) >= 0.95
-  GROUP BY a.vec_id
-)
-SELECT e.vec_id AS vec_id,
-       CAST(coalesce(p.cluster_candidate, e.vec_id) AS BIGINT)
-           AS cluster_id,
-       coalesce(p.cluster_candidate, e.vec_id) = e.vec_id AS keep
-FROM embeddings e LEFT JOIN pairs p ON p.vid = e.vec_id
-"""
 
 
 # --- planted-duplicate corpus (construction-based oracles) ---
@@ -1433,43 +1191,6 @@ FINGERPRINT_CLASSES_PLANTED_SQL = _PLANTED_BASE_SQL + f"""
 SELECT doc_id, doc_id AS class_id FROM d WHERE nt >= 1
 UNION ALL
 SELECT doc_id + {PLANT_OFF_COPY}, doc_id FROM d WHERE nt >= 1
-"""
-
-
-# --- planted embedding dedup (construction-guaranteed LSH recall) ---
-
-PLANT_VEC_OFF = 1_000_000
-
-
-def planted_embeddings(embeddings):
-    """embeddings ∪ exact copies (vec_id + PLANT_VEC_OFF). An identical
-    vector shares EVERY hyperplane signature, so the copy is co-bucketed
-    with its base in all tables — LSH recall 1 by construction — and
-    verifies at cosine 1.0 exactly."""
-    def copies(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        return pa.table({
-            "vec_id": pc.add(batch["vec_id"].cast(pa.int64()),
-                             PLANT_VEC_OFF),
-            "embedding": batch["embedding"],
-        })
-
-    base = embeddings.select_columns(["vec_id", "embedding"])
-    return base.union(base.map_batches(copies, batch_format="pyarrow"))
-
-
-def embedding_dedup_planted(embeddings, threshold: float = 0.95):
-    return embedding_dedup(planted_embeddings(embeddings), threshold,
-                           strict_caps=True)
-
-
-# expected output is pure id arithmetic GIVEN the (verified) fact that
-# the base table has no qualifying cross pairs at the 0.95 threshold
-EMBEDDING_PLANTED_SQL = f"""
-WITH v AS (SELECT CAST(vec_id AS BIGINT) AS vec_id FROM embeddings)
-SELECT vec_id, vec_id AS cluster_id, true AS keep FROM v
-UNION ALL
-SELECT vec_id + {PLANT_VEC_OFF}, vec_id, false FROM v
 """
 
 

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import zlib
 
+import numpy as np
 import pyarrow as pa
-
-from .dedup import hash_shingle_array, perm_min_hashes
 
 NUM_PERMS = 64
 BANDS = 16          # 16 bands × 4 rows
@@ -46,6 +45,91 @@ ROWS_PER_BAND = NUM_PERMS // BANDS
 DEFAULT_SALTS = 16
 JOIN_BUCKETS = 32   # label-propagation hash-join fan-out
 MAX_ROUNDS = 10
+
+
+# --- hashing, MinHash and union-find primitives ---
+
+def _hash64(values: np.ndarray) -> np.ndarray:
+    """Deterministic 64-bit mix of int64 keys (splitmix64 finalizer).
+    The label checksum here and the dedup stages hash through it."""
+    x = values.astype(np.uint64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# multiply-shift permutation family: h_p(x) = (A_p·x + B_p) mod 2^64
+# with A_p a random ODD 64-bit multiplier and x a 64-bit shingle hash.
+# The product wraps 2^64 many times for any x, so the per-permutation
+# rank orders are decorrelated. (The previous (A·x+B) mod (2^61-1) form
+# with A < 2^29 and a 32-bit x almost never wrapped the modulus — h was
+# monotone in x for most permutations, i.e. every "permutation" agreed
+# on which shingle was the minimum, silently collapsing LSH recall.)
+_mh_rng = np.random.RandomState(0xC0FFEE)
+_MH_A = ((_mh_rng.randint(0, 1 << 62, size=NUM_PERMS).astype(np.uint64)
+          << np.uint64(1)) | np.uint64(1))
+_MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
+         << np.uint64(32)) \
+    | _mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
+
+
+def hash_shingle_array(shingles: list) -> np.ndarray:
+    """Vectorized process-stable 64-bit hashes for a list of shingle
+    strings (pandas hash_array: siphash with a fixed key — C speed,
+    no per-string Python hashing)."""
+    import pandas as pd
+
+    if not shingles:
+        return np.zeros(0, dtype=np.uint64)
+    return pd.util.hash_array(np.asarray(shingles, dtype=object))
+
+
+def perm_min_hashes(base: np.ndarray,
+                    num_perms: int = NUM_PERMS) -> np.ndarray:
+    """(n_shingles,) uint64 hashes → (num_perms,) MinHash signature via
+    the vectorized multiply-shift matrix (wraparound is intentional)."""
+    vals = (_MH_A[:num_perms, None] * base[None, :]
+            + _MH_B[:num_perms, None])          # uint64 mod-2^64 wrap
+    return vals.min(axis=1)
+
+
+def _cap_event(msg: str, strict: bool) -> None:
+    """Hot-bucket cap policy: strict mode RAISES (oracle/correctness
+    runs must not pass while dropping candidates — worker warnings are
+    easy to miss on the driver); non-strict warns and truncates."""
+    import warnings
+
+    if strict:
+        raise RuntimeError(f"strict_caps: {msg}")
+    warnings.warn(msg)
+
+
+class _UnionFind:
+    """Path-halving union-find keeping the SMALLEST member as root
+    (cluster id = min of cluster). Generic over any ordered hashable
+    key (surface strings, doc ids). Users: build_canonical_mapping,
+    pipelines.kg.build_entity_mapping, and the dedup stages' near-dup
+    labelers and certificate referee — one min-root rule for all."""
+
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
+        p = self.parent
+        p.setdefault(x, x)
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            lo, hi = sorted((ra, rb))
+            self.parent[hi] = lo
+
+    def cluster_map(self) -> dict:
+        return {x: self.find(x) for x in self.parent}
 
 
 def _crc(data: str, seed: int = 0) -> int:
@@ -59,8 +143,8 @@ def shingles(s: str, k: int = 3) -> set[str]:
 
 
 def minhash_signature(s: str, num_perms: int = NUM_PERMS) -> list[int]:
-    """Vectorized MinHash (shares dedup.py's multiply-shift kernel and
-    vectorized shingle hashing)."""
+    """Vectorized MinHash: hashed shingles through the multiply-shift
+    permutation family above."""
     base = hash_shingle_array(list(shingles(s)))
     return [int(x) for x in perm_min_hashes(base, num_perms)]
 
@@ -160,9 +244,7 @@ def _bucket_edges(g, threshold: float, strict: bool = False):
     group rows, no driver fetch. Returns a TYPED arrow table so every
     downstream block is arrow (mixed block types break Ray's sort).
     Degenerate buckets are capped — warned, or raised under ``strict``
-    (same never-silent policy as dedup.MAX_PAIRS_PER_BUCKET)."""
-    from .dedup import _cap_event
-
+    (``_cap_event``: never silent)."""
     members = sorted(set(g["surface"]))
     if len(members) > MAX_BUCKET_MEMBERS:
         _cap_event(
@@ -311,10 +393,6 @@ def _label_checksum(labels) -> int:
     label, then one more splitmix64 pass), summed mod 2^64 — a collision
     between two differing label states needs a 2^-64 event, vs the old
     per-row crc32 sum (32-bit, and per-row Python)."""
-    import numpy as np
-
-    from .sketches import _hash64
-
     def partial(batch: pa.Table) -> pa.Table:
         hn = _hashed_strings(batch["node"].to_pylist())
         hl = _hashed_strings(batch["label"].to_pylist())
@@ -489,8 +567,6 @@ def build_canonical_mapping(surfaces: list[str],
     one ``ray.put`` object — use ONLY on an already-aggregated small
     vocabulary; the distributed equivalent is ``canonicalize_entities``.
     Same banding + in-bucket verification, so the two paths agree."""
-    from .dedup import _UnionFind
-
     buckets: dict[tuple[int, int], list[str]] = {}
     for s in surfaces:
         for b_idx, bh in enumerate(band_hashes(minhash_signature(s))):

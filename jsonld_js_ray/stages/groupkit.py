@@ -1,5 +1,6 @@
 """Vectorized run (sorted-group) index arithmetic shared by the
-grouped stages (stages/graph.py, stages/tfidf.py, stages/ngrams.py).
+grouped stages (stages/graph.py, stages/pivot.py, stages/text.py,
+pipelines/kg.py).
 
 A "run" is a maximal block of equal values in an already-sorted key
 array; per-group rank/top-k reduces to these three primitives plus one

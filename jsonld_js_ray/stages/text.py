@@ -30,8 +30,6 @@ STOPWORDS = {
 }
 LANG_PRIORITY = ["en", "de", "fr", "es"]   # deterministic tie-break order
 
-PUNCT_CHARS = ".,;:!?'\"()-"
-
 
 def _token_lists(texts: pa.Array) -> pa.Array:
     r"""string array → list<string> of lowercase whitespace tokens.
@@ -48,7 +46,7 @@ def _flat_tokens(tokens) -> tuple[np.ndarray, np.ndarray]:
     with the phantom '' boundary tokens dropped (see _token_lists —
     dropping them preserves in-doc adjacency because '' only occurs at
     string boundaries). The shared preamble of every token-stream
-    kernel (text stats, repetition, tfidf)."""
+    kernel (text stats, repetition)."""
     combined = tokens.combine_chunks() \
         if isinstance(tokens, pa.ChunkedArray) else tokens
     flat_arr = pc.list_flatten(combined)

@@ -314,6 +314,18 @@ def test_flatten_orders_nodes_in_js_id_order() -> None:
     assert [n["@id"] for n in got] == [_ASTRAL, _BMP]
 
 
+def test_compact_frame_from_rdf_follow_js_key_order() -> None:
+    assert list(api.compact({_BMP: "b", _ASTRAL: "a"}, {})) == \
+        [_ASTRAL, _BMP]
+    nq = (f'<{_BMP}> <http://e/p> "b" .\n'
+          f'<{_ASTRAL}> <http://e/p> "a" .\n')
+    got = api.from_rdf(nq, {"format": "application/n-quads"})
+    assert [n["@id"] for n in got] == [_ASTRAL, _BMP]
+    framed = api.frame([{"@id": _BMP, "http://e/p": "b"},
+                        {"@id": _ASTRAL, "http://e/p": "a"}], {})
+    assert [n["@id"] for n in framed["@graph"]] == [_ASTRAL, _BMP]
+
+
 def test_compare_shortest_least_uses_js_length_and_order() -> None:
     assert compare_shortest_least("\U00010000", "ab") == 1
     assert compare_shortest_least("ab", "\U00010000") == -1

@@ -1,6 +1,5 @@
 """Round-4 task 5: exact SQL oracles + in-run exactness certificates
-for the RAW dedup_minhash / dedup_ngram / dedup_simhash rows
-(knn_lsh-checked pattern — q_knn_lsh_checked precedent).
+for the RAW dedup_minhash / dedup_ngram / dedup_simhash rows.
 
 Also: RE2-'\\S+' tokenizer parity (the engine's dedup tokenizer must
 agree with DuckDB's regexp_extract_all(..., '\\S+') on exotic

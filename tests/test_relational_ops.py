@@ -1,12 +1,10 @@
-"""Graph, text and LM operator tests: k-core, reach, common neighbors,
+"""Graph and text operator tests: k-core, reach, common neighbors,
 property table, resource allocation, communities, weighted PageRank,
-entity lift, text normalization, substring dedup, LM scores
-(semantics + DuckDB oracle parity at sf0.001; tools/oracle_sweep.py
-re-checks parity at sf0.01)."""
+entity lift, text normalization (semantics + DuckDB oracle parity at
+sf0.001; tools/oracle_sweep.py re-checks parity at sf0.01)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 
@@ -49,42 +47,6 @@ def test_normalize_text_oracle_parity_sf(ray_session, sf_dir):
 
     a = _parity(E, "normalize_text", sf_dir, ("documents",))
     assert len(a) == 500 and (a["n_chars_norm"] > 0).any()
-
-
-def test_dedup_substring_semantics(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.ngrams import SUB_K, dedup_substring
-
-    window = " ".join(f"w{i}" for i in range(SUB_K))
-    docs = [
-        f"prefix one {window} suffix one",          # 0: first owner
-        "completely different text " * SUB_K,       # 1: clean
-        f"other lead-in {window} other tail",       # 2: dup of 0
-        window,                                     # 3: dup of 0 (exact)
-        f"{window[:-1]}X trailing",                 # 4: near-miss, clean
-        "short doc",                                # 5: < K tokens
-    ]
-    tbl = pa.table({
-        "doc_id": pa.array(range(len(docs)), pa.int64()),
-        "text": pa.array(docs, pa.string()),
-    })
-    out = dedup_substring(rd.from_arrow(tbl)).to_pandas() \
-        .set_index("doc_id").sort_index()
-    assert out["is_dup"].tolist() == [False, False, True, True,
-                                      False, False]
-    assert out["first_doc"].tolist() == [0, 1, 0, 0, 4, 5]
-
-
-def test_dedup_substring_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "dedup_substring", sf_dir, ("documents",))
-    assert len(a) == 500
-    # the raw corpus's near-dups share exact windows -> real signal
-    assert a["is_dup"].any()
-    assert (a.loc[~a["is_dup"], "first_doc"]
-            == a.loc[~a["is_dup"], "doc_id"]).all()
 
 
 def test_kcore_onion_semantics(ray_session):
@@ -134,60 +96,6 @@ def test_kcore_oracle_parity_sf(ray_session, sf_dir):
     # the KG's star shape cascades: turns, then convs/entities, then
     # the class hub — at least three distinct onion layers
     assert a["peeled_round"].nunique() >= 3
-
-
-def test_knn_ivfpq_recall_and_exhaustive_equality(ray_session, sf_dir):
-    """Default IVFADC (cell pruning + residual-PQ shortlist) keeps
-    recall@10 high vs brute; probing every cell with an exhaustive
-    shortlist is candidate-identical to knn_brute (the construction
-    behind the oracle registration)."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.similarity import (
-        IVF_CENTROIDS, knn_brute, knn_ivfpq,
-    )
-
-    emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    brute = knn_brute(emb).to_pandas()
-    approx = knn_ivfpq(emb).to_pandas()
-    hits = approx.merge(brute, on=["query_id", "vec_id"])
-    assert len(hits) / len(brute) >= 0.8
-
-    exhaustive = knn_ivfpq(emb, n_probe=IVF_CENTROIDS,
-                           shortlist=10 ** 9).to_pandas()
-    cols = ["query_id", "rank", "vec_id"]
-    a = exhaustive[cols].sort_values(cols).reset_index(drop=True)
-    b = brute[cols].sort_values(cols).reset_index(drop=True)
-    assert a.equals(b)
-
-
-def test_lm_bigram_score_semantics(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.tfidf import lm_bigram_score
-
-    tbl = pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(["a b a b", "a b c", "x"], pa.string()),
-    })
-    out = lm_bigram_score(rd.from_arrow(tbl)).to_pandas() \
-        .set_index("doc_id").sort_index()
-    # n2: (a,b)=3 (b,a)=1 (b,c)=1; n1: a=3 b=2
-    # contribs: (a,b) 10^6*3//3=10^6, (b,a)=(b,c)=500000
-    assert out.loc[0, "wsum"] == 2_500_000 and out.loc[0, "n_pairs"] == 3
-    assert out.loc[0, "lm2_score"] == 833_333
-    assert out.loc[1, "wsum"] == 1_500_000 and out.loc[1, "n_pairs"] == 2
-    assert out.loc[1, "lm2_score"] == 750_000
-    assert 2 not in out.index          # single-token doc: no pairs
-
-
-def test_lm_bigram_score_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "lm_bigram_score", sf_dir, ("documents",))
-    assert len(a) == 500
-    assert (a["lm2_score"] <= 10 ** 6).all() and (a["lm2_score"] > 0).all()
 
 
 def test_reach_bfs_semantics(ray_session):
@@ -372,55 +280,6 @@ def test_new_relational_oracle_parity_sf(ray_session, sf_dir):
     assert len(a) > 0
 
 
-def test_lm_backoff_semantics(ray_session):
-    """Train split = even doc_ids. Doc 0 (train): pair (a,b) seen
-    twice, (b,a) once -> all pairs seen, pure conditional probs.
-    Doc 1 (held-out): pair (a,b) seen in train -> main branch;
-    pair (b,z) unseen -> backoff to alpha * ctf(z)/totA = 0 (z not in
-    train); pair (z,q) unseen, q unseen -> 0."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.tfidf import LM_SCALE, lm_backoff_score
-
-    docs = pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        "text": pa.array(["a b a b a", "a b z q"], pa.string()),
-    })
-    out = lm_backoff_score(rd.from_arrow(docs)).to_pandas() \
-        .set_index("doc_id").sort_index()
-    # train counts (doc 0 only): pairs (a,b)x2 (b,a)x2; n1(a)=2 n1(b)=2
-    # doc 0: pairs (a,b) tf2=2 contrib=SCALE*2//2=SCALE;
-    #        (b,a) tf2=2 contrib=SCALE -> mean = SCALE
-    assert out.loc[0, "lmbo_score"] == LM_SCALE
-    # doc 1: (a,b) seen contrib=SCALE; (b,z) unseen, ctfA(z)=0 -> 0;
-    #        (z,q) unseen, ctfA(q)=0 -> 0 -> mean = SCALE // 3
-    assert out.loc[1, "n_pairs"] == 3
-    assert out.loc[1, "lmbo_score"] == LM_SCALE // 3
-    # backoff to a SEEN unigram: doc 3 pairs (b,c): c unseen as pair
-    # second... craft: train doc 2 = "c c c" (ctfA(c)=3), doc 3 = "b c"
-    docs2 = pa.table({
-        "doc_id": pa.array([2, 3], pa.int64()),
-        "text": pa.array(["c c c", "b c"], pa.string()),
-    })
-    out2 = lm_backoff_score(rd.from_arrow(docs2)).to_pandas() \
-        .set_index("doc_id").sort_index()
-    # doc 3: pair (b,c) unseen in train (train has only (c,c));
-    # backoff = (2*SCALE*ctfA(c)) // (5*totA) = (2*SCALE*3)//(5*3)
-    assert out2.loc[3, "lmbo_score"] == (2 * LM_SCALE * 3) // (5 * 3)
-
-
-def test_lm_backoff_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "lm_backoff_score", sf_dir, ("documents",))
-    assert len(a) == 500
-    # held-out (odd) docs hit unseen bigrams: their mean score must
-    # fall below the train split's (backoff contributions are tiny)
-    even = a[a["doc_id"] % 2 == 0]["lmbo_score"].mean()
-    odd = a[a["doc_id"] % 2 == 1]["lmbo_score"].mean()
-    assert odd < even
-
-
 def test_entity_lift_semantics(ray_session):
     """Hand-built (conv, entity) relation: N=4 convs; pair (a, b)
     co-mentioned once with c(a)=c(b)=2 → lift exactly 10^6
@@ -557,31 +416,3 @@ def test_pagerank_weighted_oracle_parity_sf(ray_session, sf_dir):
     a = _parity(E, "kg_pagerank_weighted", sf_dir, ("events",))
     # bipartite conv <-> entity graph: convs + the 5 entities
     assert len(a) > 5 and a["pagerank"].nunique() > 1
-
-
-def test_cms_one_sided_bound(ray_session, sf_dir):
-    """Count-Min guarantee, asserted exactly (the sketch is
-    deterministic given data + seeds): est >= exact for every probe,
-    and the overestimate stays within the e/W * N bound."""
-    import numpy as np
-
-    import __ray_entry__ as E
-    from jsonld_js_ray.pipelines.training_data import _docs
-    from jsonld_js_ray.stages.sketches import CMS_W, exact_top_tokens
-
-    import duckdb
-
-    est = E.queries()["cms_token_counts"](sf_dir).to_pandas() \
-        .set_index("token")["est_count"]
-    cand, exact = exact_top_tokens(_docs(sf_dir), 20)
-    assert list(est.index) == cand
-    n_total = duckdb.sql(
-        rf"SELECT sum(len(regexp_extract_all(lower(coalesce(text, "
-        rf"'')), '\S+'))) FROM '{sf_dir}/documents.parquet'"
-    ).fetchone()[0]
-    bound = int(np.e / CMS_W * float(n_total)) + 1
-    for t in cand:
-        assert est[t] >= exact[t]
-        assert est[t] - exact[t] <= bound
-    # the sketch is TIGHT on this corpus for at least some tokens
-    assert (est.to_numpy() == np.array([exact[t] for t in cand])).any()

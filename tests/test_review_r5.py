@@ -84,37 +84,3 @@ def test_canonize_treats_dataset_as_set():
     q3 = (("BlankNode", "_:b0"), ("NamedNode", "http://e/r"),
           ("Literal", "true", ["@list"], None), ("DefaultGraph", ""))
     assert canonize([q1, q3, q3]) == canonize([q1, q3])
-
-
-def test_distinct_doc_window_hashes_matches_string_path():
-    """The chained window hash must induce the SAME (doc, window)
-    identity partition as the string-building path it replaced."""
-    from jsonld_js_ray.stages.ngrams import (_distinct_doc_grams,
-                                             _distinct_doc_window_hashes)
-
-    docs = pa.table({
-        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-        "text": pa.array([
-            "a b c d e f",
-            "a b c d e f",            # identical → same windows
-            "x y z a b c d",          # shares the tail window set
-            "one two",                # too short for n=4 → no windows
-        ], pa.string()),
-    })
-    n = 4
-    s = _distinct_doc_grams(docs, n)
-    h = _distinct_doc_window_hashes(docs, n)
-    grams, sids, _ = s
-    hids, hh = h
-    # same number of distinct (doc, window) rows
-    assert len(sids) == len(hids)
-    # equal string windows ⇔ equal hashes: group rows by window on
-    # each side and compare the doc-set partition
-    by_str: dict = {}
-    for g, d in zip(grams, sids):
-        by_str.setdefault(g, set()).add(int(d))
-    by_hash: dict = {}
-    for d, v in zip(hids, hh):
-        by_hash.setdefault(int(v), set()).add(int(d))
-    assert sorted(map(sorted, by_str.values())) == \
-        sorted(map(sorted, by_hash.values()))

@@ -1,8 +1,7 @@
 """Graph operators over the KG quad table: clustering coefficient,
 truss support, Jaccard neighbors, assortativity, neighbor sampling,
-random walks, property unpivot, plus embedding quantization
-(semantics + DuckDB oracle parity at sf0.001; tools/oracle_sweep.py
-re-checks at sf0.01)."""
+random walks, property unpivot (semantics + DuckDB oracle parity at
+sf0.001; tools/oracle_sweep.py re-checks at sf0.01)."""
 
 from __future__ import annotations
 
@@ -202,15 +201,6 @@ def test_kg_property_unpivot_roundtrips_pivot(ray_session, sf_dir):
     long = E.queries()["kg_property_unpivot"](sf_dir).to_pandas()
     n_cells = int(wide.drop(columns=["node"]).notna().sum().sum())
     assert len(long) == n_cells
-
-
-def test_embed_quantize_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "embed_quantize", sf_dir, ("embeddings",))
-    # int8 range by construction, and the max-abs coordinate hits ±127
-    assert a["q"].between(-127, 127).all()
-    assert a["q"].abs().max() == 127
 
 
 def test_kg_clustering_consistent_with_triangle_stats(ray_session,
