@@ -314,16 +314,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_resource_allocation": _q_kg_resource_allocation,
         "kg_entity_lift": _q_kg_entity_lift,
         # training-data ops
-        "dedup_exact": td.q_dedup_exact,
-        "dedup_minhash": td.q_dedup_minhash_checked,
-        "dedup_simhash": td.q_dedup_simhash_checked,
-        "dedup_ngram": td.q_dedup_ngram_checked,
-        # planted-duplicate corpora (construction-based oracles for the
-        # otherwise non-SQL-expressible LSH/sketch variants)
-        "dedup_minhash_planted": td.q_dedup_minhash_planted,
-        "dedup_ngram_planted": td.q_dedup_ngram_planted,
-        "dedup_simhash_planted": td.q_dedup_simhash_planted,
-        "fingerprint_classes_planted": td.q_fingerprint_classes_planted,
         "text_stats": td.q_text_stats,
         "token_counts": td.q_token_counts,
         "split_assign": td.q_split_assign,
@@ -340,7 +330,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "corpus_token_quantiles": td.q_corpus_token_quantiles,
         "chunk_docs": td.q_chunk_docs,
         "length_outlier_filter": td.q_length_outlier_filter,
-        "fingerprint": td.q_fingerprint,
     }
 
 
@@ -664,15 +653,6 @@ def oracle_sql() -> dict[str, str]:
         TRANSCRIPTS_ORACLE_SQL,
         TRIPLE_STATS_ORACLE_SQL,
     )
-    from jsonld_js_ray.stages.dedup import (
-        DEDUP_EXACT_SQL,
-        DEDUP_MINHASH_EXACT_SQL,
-        DEDUP_NGRAM_EXACT_SQL,
-        DEDUP_PLANTED_SQL,
-        SIMHASH_DEDUP_SQL,
-        FINGERPRINT_CLASSES_PLANTED_SQL,
-        SIMHASH_PLANTED_SQL,
-    )
     from jsonld_js_ray.stages.linker import MENTIONS_SQL
     from jsonld_js_ray.stages.text import (
         CHUNK_DOCS_SQL,
@@ -789,18 +769,6 @@ def oracle_sql() -> dict[str, str]:
         "kg_resource_allocation": _resource_allocation_oracle(),
         # conversation-level co-mention lift (statistical link proposal)
         "kg_entity_lift": _entity_lift_oracle(),
-        "dedup_exact": DEDUP_EXACT_SQL,
-        # RAW dedup rows: exact ground-truth SQL (word/char Jaccard
-        # closure; simhash recomputed bit-exactly in SQL via the
-        # md5-derived token hash), valid under the in-run exactness
-        # certificates of the *_checked wrappers
-        "dedup_minhash": DEDUP_MINHASH_EXACT_SQL,
-        "dedup_ngram": DEDUP_NGRAM_EXACT_SQL,
-        "dedup_simhash": SIMHASH_DEDUP_SQL,
-        "dedup_minhash_planted": DEDUP_PLANTED_SQL,
-        "dedup_ngram_planted": DEDUP_PLANTED_SQL,
-        "dedup_simhash_planted": SIMHASH_PLANTED_SQL,
-        "fingerprint_classes_planted": FINGERPRINT_CLASSES_PLANTED_SQL,
         "text_stats": TEXT_STATS_SQL,
         # quality is exact integer ppm arithmetic over the text_stats
         # counters (floor division mirrored on both sides)
@@ -833,7 +801,4 @@ def oracle_sql() -> dict[str, str]:
         "length_outlier_filter": LENGTH_OUTLIER_FILTER_SQL,
         # canonical lowercase/alnum-collapsed text (RE2 both sides)
         "normalize_text": NORMALIZE_TEXT_SQL,
-        # No oracle (not SQL-expressible → driver rows-only check):
-        #   fingerprint (engine-specific winnowing hex; its equality
-        #     classes ARE oracled via fingerprint_classes_planted)
     }

@@ -241,34 +241,14 @@ def compact_roundtrip_turn_counts(sf_dir: str):
 def build_entity_mapping(sf_dir: str, threshold: float = 0.6) -> dict:
     """Phase 1 of the full pipeline: mention stream → salted surface
     stats → min-hash near-dup merge → surface→canonical dict (the
-    broadcast small side for phase 2).
-
-    Phase 2 consumes the mapping as ONE ``ray.put`` dict, so the vocab
-    must fit on the driver here by design. Everything heavier stays
-    distributed: banding + in-bucket Jaccard verification run in
-    ``entity_merge.verified_edges`` (map_batches + band groupby); the
-    driver sees only the vocab keys and the dup-density-bounded verified
-    EDGE list, then runs an O(|edges|) union-find (exact transitive
-    closure — unlike the round-capped label propagation in
-    ``canonicalize_entities``, which warns if a chain exceeds
-    MAX_ROUNDS hops; the two paths agree whenever propagation
-    converges)."""
+    broadcast small side for phase 2; see
+    ``entity_merge.build_canonical_mapping``)."""
     from ..sources.transcripts import read_transcripts
-    from ..stages.entity_merge import (_UnionFind, surface_stats,
-                                       verified_edges)
+    from ..stages.entity_merge import build_canonical_mapping, surface_stats
     from ..stages.linker import detect_mentions
 
     mentions = detect_mentions(read_transcripts(sf_dir))
-    stats = surface_stats(mentions).materialize()
-    edges = verified_edges(stats, threshold).to_pandas()
-    surfaces = stats.select_columns(["surface"]).to_pandas()["surface"]
-
-    uf = _UnionFind()
-    for s in surfaces:
-        uf.find(s)                       # register singletons
-    for a, b in zip(edges.get("src", []), edges.get("dst", [])):
-        uf.union(a, b)
-    return uf.cluster_map()
+    return build_canonical_mapping(surface_stats(mentions), threshold)
 
 
 def run_full_kg_pipeline(sf_dir: str, out_dir: str,
@@ -374,7 +354,6 @@ def distributed_merge_node_props(sf_dir: str):
     import pyarrow as pa
 
     from .. import api as _api
-    from ..core.types import is_keyword
     from ..core.util import ValueIndex
 
     docs = assemble_docs(sf_dir)

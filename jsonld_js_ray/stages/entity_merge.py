@@ -30,6 +30,10 @@ materialization:
 
 Only scalars (checksums) and Dataset handles touch the driver; every
 per-row structure stays in the object store.
+
+The broadcast mapping the pipeline links against
+(``build_canonical_mapping``) shares steps 1–2 and closes the verified
+edges with a driver-side union-find instead of step 3.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ MAX_ROUNDS = 10
 # --- hashing, MinHash and union-find primitives ---
 
 def _hash64(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix of int64 keys (splitmix64 finalizer).
-    The label checksum here and the dedup stages hash through it."""
+    """Deterministic 64-bit mix of int64 keys (splitmix64 finalizer),
+    used by the label checksum."""
     x = values.astype(np.uint64)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -73,24 +77,16 @@ _MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
     | _mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
 
 
-def hash_shingle_array(shingles: list) -> np.ndarray:
-    """Vectorized process-stable 64-bit hashes for a list of shingle
-    strings (pandas hash_array: siphash with a fixed key — C speed,
-    no per-string Python hashing)."""
+def _hashed_strings(vals: list) -> np.ndarray:
+    """Vectorized process-stable 64-bit hashes of a list of strings
+    (pandas hash_array: siphash with a fixed key — C speed, no per-row
+    Python hashing). Shingles, bucket keys and label checksums, here
+    and in the graph and pivot stages, all hash through it."""
     import pandas as pd
 
-    if not shingles:
+    if not vals:
         return np.zeros(0, dtype=np.uint64)
-    return pd.util.hash_array(np.asarray(shingles, dtype=object))
-
-
-def perm_min_hashes(base: np.ndarray,
-                    num_perms: int = NUM_PERMS) -> np.ndarray:
-    """(n_shingles,) uint64 hashes → (num_perms,) MinHash signature via
-    the vectorized multiply-shift matrix (wraparound is intentional)."""
-    vals = (_MH_A[:num_perms, None] * base[None, :]
-            + _MH_B[:num_perms, None])          # uint64 mod-2^64 wrap
-    return vals.min(axis=1)
+    return pd.util.hash_array(np.asarray(vals, dtype=object))
 
 
 def _cap_event(msg: str, strict: bool) -> None:
@@ -106,10 +102,9 @@ def _cap_event(msg: str, strict: bool) -> None:
 
 class _UnionFind:
     """Path-halving union-find keeping the SMALLEST member as root
-    (cluster id = min of cluster). Generic over any ordered hashable
-    key (surface strings, doc ids). Users: build_canonical_mapping,
-    pipelines.kg.build_entity_mapping, and the dedup stages' near-dup
-    labelers and certificate referee — one min-root rule for all."""
+    (cluster id = min of cluster) over surface strings. Its one user is
+    build_canonical_mapping, the broadcast mapping that
+    pipelines.kg.build_entity_mapping returns."""
 
     def __init__(self) -> None:
         self.parent: dict = {}
@@ -142,11 +137,12 @@ def shingles(s: str, k: int = 3) -> set[str]:
     return {s[i:i + k] for i in range(len(s) - k + 1)}
 
 
-def minhash_signature(s: str, num_perms: int = NUM_PERMS) -> list[int]:
+def minhash_signature(s: str) -> list[int]:
     """Vectorized MinHash: hashed shingles through the multiply-shift
-    permutation family above."""
-    base = hash_shingle_array(list(shingles(s)))
-    return [int(x) for x in perm_min_hashes(base, num_perms)]
+    permutation family above (the uint64 wraparound is intentional)."""
+    base = _hashed_strings(list(shingles(s)))
+    vals = _MH_A[:, None] * base[None, :] + _MH_B[:, None]
+    return [int(x) for x in vals.min(axis=1)]
 
 
 def band_hashes(sig: list[int]) -> list[int]:
@@ -285,17 +281,6 @@ def verified_edges(stats, threshold: float = 0.6,
 
 
 # --- bounded min-label propagation (distributed connected components) ---
-
-def _hashed_strings(vals: list) -> "np.ndarray":
-    """Vectorized 64-bit hashes of a string column (pandas hash_array:
-    siphash at C speed — no per-row Python hashing)."""
-    import numpy as np
-    import pandas as pd
-
-    if not vals:
-        return np.zeros(0, dtype=np.uint64)
-    return pd.util.hash_array(np.asarray(vals, dtype=object))
-
 
 def _bucketed(ds, col: str, num_buckets: int):
     def add_bucket(batch: pa.Table, _col=col) -> pa.Table:
@@ -557,34 +542,30 @@ def canonicalize_entities(mentions, threshold: float = 0.6,
         join_canonical, batch_format="pandas")
 
 
-# --- small-vocab broadcast helper (kg.build_entity_mapping) ---
+# --- small-vocab broadcast mapping (kg.build_entity_mapping) ---
 
-def build_canonical_mapping(surfaces: list[str],
-                            threshold: float = 0.6) -> dict[str, str]:
-    """surface vocabulary → canonical surface (min of its near-dup
-    cluster). DRIVER-SIDE helper for the broadcast-linking path
-    (``pipelines.kg.build_entity_mapping``) where the mapping must become
-    one ``ray.put`` object — use ONLY on an already-aggregated small
-    vocabulary; the distributed equivalent is ``canonicalize_entities``.
-    Same banding + in-bucket verification, so the two paths agree."""
-    buckets: dict[tuple[int, int], list[str]] = {}
-    for s in surfaces:
-        for b_idx, bh in enumerate(band_hashes(minhash_signature(s))):
-            buckets.setdefault((b_idx, bh), []).append(s)
+def build_canonical_mapping(stats, threshold: float = 0.6) -> dict[str, str]:
+    """Aggregated surface Dataset (``surface_stats`` output) → surface →
+    canonical dict (min of its near-dup cluster): the broadcast small
+    side of ``pipelines.kg.build_entity_mapping``, which must become one
+    ``ray.put`` object — so the vocabulary must fit on the driver here
+    by design. Banding + in-bucket verification stay distributed
+    (``verified_edges``); the driver sees only the vocab keys and the
+    dup-density-bounded verified EDGE list, then runs an O(|edges|)
+    union-find (exact transitive closure — unlike the round-capped
+    label propagation in ``canonicalize_entities``, which warns if a
+    chain exceeds MAX_ROUNDS hops; the two agree whenever propagation
+    converges). Keys come in ``stats`` row order."""
+    stats = stats.materialize()          # read twice: edges + vocab
+    edges = verified_edges(stats, threshold).to_pandas()
+    surfaces = stats.select_columns(["surface"]).to_pandas()["surface"]
 
     uf = _UnionFind()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        members = sorted(set(members))
-        # verify ALL in-bucket pairs: head-only verification under-merges
-        # when two members are near-dups of each other but not of the
-        # bucket minimum
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if jaccard(members[i], members[j]) >= threshold:
-                    uf.union(members[i], members[j])
-    return {s: uf.find(s) for s in surfaces}
+    for s in surfaces:
+        uf.find(s)                       # register singletons
+    for a, b in zip(edges.get("src", []), edges.get("dst", [])):
+        uf.union(a, b)
+    return uf.cluster_map()
 
 
 # --- construction-based oracles (driver CORRECTNESS gate) ---

@@ -1,5 +1,5 @@
 """Text analysis over the ``documents`` table: token counting, quality
-stats, language-ID (stopword n-gram heuristic), document fingerprinting.
+stats, language-ID (stopword n-gram heuristic), curation filters.
 
 Hot paths are vectorized: tokenization via pyarrow ``split_pattern`` +
 list kernels, per-language stopword hits via flattened ``is_in`` +
@@ -181,65 +181,6 @@ def quality_score_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-class Fingerprinter:
-    """Winnowing-style document fingerprint: rolling (Karp-Rabin) hashes
-    over char w-grams, keep the minimum hash per window of size ``win``
-    → sorted distinct fingerprint set, digested to one hex id.
-
-    Actor-pool stage: constants precomputed once per worker."""
-
-    W = 8        # char-gram width
-    WIN = 16     # winnowing window
-    BASE = np.uint64(257)     # polynomial hash base, mod 2^64 (natural
-    #                           uint64 wraparound — only equality of
-    #                           windows matters for winnowing)
-
-    def fingerprint(self, text: str) -> str:
-        import hashlib
-
-        data = text.encode("utf-8")
-        n = len(data)
-        if n < self.W:
-            return hashlib.md5(data).hexdigest()[:16]
-        # vectorized polynomial w-gram hashes: W shifted passes instead
-        # of a per-character Python rolling loop
-        arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint64)
-        m = n - self.W + 1
-        hashes = np.zeros(m, dtype=np.uint64)
-        for j in range(self.W):
-            hashes = hashes * self.BASE + arr[j:j + m]
-        # min per sliding window (vectorized via stride tricks)
-        if len(hashes) <= self.WIN:
-            mins = np.array([hashes.min()], dtype=np.uint64)
-        else:
-            from numpy.lib.stride_tricks import sliding_window_view
-            mins = sliding_window_view(hashes, self.WIN).min(axis=1)
-        selected = np.unique(mins)
-        digest = hashlib.md5(selected.tobytes()).hexdigest()[:16]
-        return digest
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "fingerprint": pa.array(
-                [self.fingerprint(t or "") for t in texts], pa.string()),
-        })
-
-
-_FINGERPRINTER: Fingerprinter | None = None
-
-
-def fingerprint_batch(batch: pa.Table) -> pa.Table:
-    """Task-pool form of Fingerprinter (per-worker singleton): with the
-    hash fully vectorized there is no per-actor state worth an actor
-    pool, and task-pool dispatch avoids actor spin-up latency."""
-    global _FINGERPRINTER
-    if _FINGERPRINTER is None:
-        _FINGERPRINTER = Fingerprinter()
-    return _FINGERPRINTER(batch)
-
-
 # --- SQL oracles ---
 
 # NULL text is coalesced to '' to mirror the Python kernels' fill_null
@@ -353,8 +294,7 @@ SAMPLE_RATE = 0.1
 
 def md5_hex_list(texts: list) -> list:
     """Canonical md5-of-text helper (the repo-wide '(t or "")' NULL
-    contract lives HERE; dedup.content_hash_batch and the samplers
-    share it)."""
+    contract lives HERE; the samplers share it)."""
     import hashlib
 
     return [hashlib.md5((t or "").encode("utf-8")).hexdigest()
@@ -655,8 +595,7 @@ def curation_filter_batch(batch: pa.Table) -> pa.Table:
     rule as the reason ('short' | 'long' | 'lang' | 'quality' | 'ok').
     One vectorized pass reusing the oracled lang/quality kernels —
     tokenization and the stats counters are computed ONCE and shared
-    (not recomputed per sub-kernel); exact dedup remains its own
-    (shuffling) operator."""
+    (not recomputed per sub-kernel)."""
     texts = pc.fill_null(batch["text"], "")
     tokens = _token_lists(texts)
     stats = _text_stats_core(batch, texts, tokens)
@@ -752,7 +691,7 @@ DECONTAM_VEC_MIN_PROBES = 128
 
 # odd 64-bit polynomial base → invertible mod 2^64, so window hashes
 # normalize via one multiply (same wraparound contract as the MinHash
-# permutation family in stages/dedup.py)
+# permutation family in stages/entity_merge.py)
 _RH_BASE = np.uint64(0x9E3779B97F4A7C15 | 1)
 _RH_INV = np.uint64(pow(0x9E3779B97F4A7C15 | 1, -1, 1 << 64))
 

@@ -135,6 +135,7 @@ def test_mentions_and_entity_canonicalization(ray_session):
 
     from jsonld_js_ray.stages.entity_merge import (
         build_canonical_mapping, canonicalize_entities, jaccard,
+        surface_stats,
     )
     from jsonld_js_ray.stages.linker import detect_mentions
 
@@ -154,8 +155,8 @@ def test_mentions_and_entity_canonicalization(ray_session):
     assert by_surface["click"] == "click"
     # counts survived the salted two-phase aggregation
     assert int(out[out["surface"] == "click"]["n_mentions"].iloc[0]) == 2
-    # mapping is idempotent + deterministic
-    m = build_canonical_mapping(sorted(by_surface))
+    # the broadcast mapping the pipeline links against agrees
+    m = build_canonical_mapping(surface_stats(mentions))
     assert m == {s: by_surface[s] for s in m}
 
 
@@ -239,6 +240,35 @@ def test_salted_aggregation_correct_under_hot_key(ray_session):
     assert by_surface["hotkey"] == n_hot
     assert sum(by_surface.values()) == n_hot + n_cold
     assert len(by_surface) == 51
+
+
+def test_bucket_cap_strict_raises_lenient_truncates():
+    """Hot-bucket cap policy (Ray-free): one LSH bucket past
+    MAX_BUCKET_MEMBERS must RAISE under strict caps (the planted oracle
+    must never pass while under-merging) and otherwise warn and verify
+    only the first MAX_BUCKET_MEMBERS sorted surfaces."""
+    import pandas as pd
+
+    from jsonld_js_ray.stages.entity_merge import (
+        MAX_BUCKET_MEMBERS, _bucket_edges, jaccard,
+    )
+
+    # "surface000", "surface001", ...: neighbours share 7 of 9 trigrams
+    surfaces = [f"surface{i:03d}" for i in range(MAX_BUCKET_MEMBERS + 1)]
+    g = pd.DataFrame({"surface": surfaces[::-1]})
+    with pytest.raises(RuntimeError, match="strict_caps"):
+        _bucket_edges(g, 0.6, strict=True)
+
+    with pytest.warns(UserWarning, match="verification cap"):
+        out = _bucket_edges(g, 0.6, strict=False)
+    kept = sorted(surfaces)[:MAX_BUCKET_MEMBERS]
+    expected = {(a, b) for a in kept for b in kept
+                if a != b and jaccard(a, b) >= 0.6}
+    got = set(zip(out["src"].to_pylist(), out["dst"].to_pylist()))
+    assert got == expected and len(got) > 0
+    # the dropped surface would have merged, so truncation is visible
+    assert jaccard(surfaces[-1], surfaces[-2]) >= 0.6
+    assert surfaces[-1] not in {s for pair in got for s in pair}
 
 
 def test_canonical_mapping_flows_into_mention_iris(ray_session, sf_dir):
@@ -481,6 +511,7 @@ def test_label_propagation_chain_cluster(ray_session):
 
     from jsonld_js_ray.stages.entity_merge import (
         build_canonical_mapping, canonicalize_entities, jaccard,
+        surface_stats,
     )
 
     # sliding 10-char windows shifted by 1: consecutive Jaccard 0.78,
@@ -498,8 +529,8 @@ def test_label_propagation_chain_cluster(ray_session):
         assert by[s] == "abcdefghij", by
     assert by["gamma"] == "gamma"
     assert by["zzzyyyxxx"] == "zzzyyyxxx"
-    # the distributed path agrees with the driver-side broadcast helper
-    mapping = build_canonical_mapping(sorted(set(surfs)), 0.6)
+    # the distributed path agrees with the broadcast mapping
+    mapping = build_canonical_mapping(surface_stats(m), 0.6)
     assert mapping == by
     # chain ends really are not direct near-dups (propagation mattered)
     assert jaccard(chain[0], chain[-1]) < 0.6

@@ -1,6 +1,6 @@
 """The driver registry in ``__ray_entry__``: every oracle names a
-registered query, exactly the non-SQL-expressible queries go without
-an oracle, and no query wrapper or oracle builder is left orphaned.
+registered query, every query has an oracle, and no query wrapper or
+oracle builder is left orphaned.
 Also the import boundary between the entity/quad path and the curation
 stages. Needs no Ray session: only the two registry dicts are built
 and module sources are parsed."""
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import __ray_entry__ as E
 
-NO_ORACLE = {"fingerprint"}
+NO_ORACLE = set()
 
 
 def test_every_oracle_names_a_query():
@@ -35,7 +35,7 @@ def test_no_orphaned_wrapper_or_oracle_builder():
 
 
 # Entity canonicalization and the quad path stand apart from the
-# LLM-curation family: nothing below imports dedup, text or the
+# LLM-curation family: nothing below imports text or the
 # training-data wrappers, so removing that family is a pure delete.
 PKG = Path(E.__file__).resolve().parent / "jsonld_js_ray"
 BOUNDED = [PKG / "pipelines" / "kg.py",
@@ -43,7 +43,7 @@ BOUNDED = [PKG / "pipelines" / "kg.py",
              for m in ("entity_merge", "linker", "assemble", "to_rdf_stage")),
            *sorted((PKG / "sources").glob("*.py")),
            *sorted((PKG / "core").glob("*.py"))]
-CURATION = {"jsonld_js_ray.stages.dedup", "jsonld_js_ray.stages.text",
+CURATION = {"jsonld_js_ray.stages.text",
             "jsonld_js_ray.pipelines.training_data"}
 
 

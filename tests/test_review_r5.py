@@ -1,8 +1,6 @@
-"""Round-5 review pins: _pin block coalescing, the distributed pair
-dedup, and the large-offset gram list array."""
+"""Round-5 review pins: _pin block coalescing and URDNA2015's set
+semantics."""
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -36,31 +34,6 @@ def test_pin_leaves_large_blocks_alone(ray_session):
     # blocks already at target → no repartition move
     assert pinned.num_blocks() == n_blocks
     assert pinned.count() == _PIN_TARGET_ROWS * n_blocks
-
-
-def test_dedupe_pairs_ds_global(ray_session):
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.dedup import _dedupe_pairs_ds
-
-    # duplicates spread across many input blocks must still collapse
-    df = pd.DataFrame({"a": [1, 1, 2, 2, 1, 3] * 500,
-                       "b": [2, 2, 3, 3, 2, 9] * 500})
-    ds = rd.from_pandas(df).repartition(16)
-    out = _dedupe_pairs_ds(ds).to_pandas() \
-        .sort_values(["a", "b"]).reset_index(drop=True)
-    assert out.equals(pd.DataFrame({"a": [1, 2, 3], "b": [2, 3, 9]}))
-
-
-def test_gram_list_array_large_offsets():
-    from jsonld_js_ray.stages.dedup import _gram_list_array
-
-    arrays = [np.arange(5, dtype=np.uint64),
-              np.zeros(0, dtype=np.uint64),
-              np.arange(3, dtype=np.uint64)]
-    arr = _gram_list_array(arrays, 3)
-    assert pa.types.is_large_list(arr.type)   # int64 offsets by type
-    assert arr.to_pylist() == [list(range(5)), [], [0, 1, 2]]
 
 
 def test_canonize_treats_dataset_as_set():

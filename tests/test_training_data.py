@@ -1,75 +1,10 @@
-"""Tests for the dedup and text-analysis stages (plus some graph stages).
-
-Synthetic corpora with PLANTED duplicates and neighbors — the sf tables
-have no duplicate text, so these tests exercise the merge paths that the
-oracle equality checks cannot."""
+"""Tests for the text-analysis stages (plus some graph stages): small
+hand-built tables for the edge cases, and DuckDB oracle parity on the
+sf tables."""
 
 from __future__ import annotations
 
 import pyarrow as pa
-import pytest
-
-
-def _docs_table():
-    base = ("the quick brown fox jumps over the lazy dog and runs far "
-            "away into the deep green forest tonight")
-    near = base.replace("tonight", "today")           # high jaccard
-    far = "completely different words about databases and query engines"
-    rows = [
-        (0, base), (1, base),          # exact dup pair
-        (2, near),                     # near dup of 0/1
-        (3, far), (4, far + " extra"),  # near pair
-        (5, "tiny"),
-    ]
-    return pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "text": pa.array([r[1] for r in rows], pa.string()),
-    })
-
-
-@pytest.fixture()
-def docs_ds(ray_session):
-    import ray.data as rd
-
-    return rd.from_arrow(_docs_table())
-
-
-def test_exact_dedup(docs_ds):
-    from jsonld_js_ray.stages.dedup import exact_dedup
-
-    out = exact_dedup(docs_ds).to_pandas()
-    assert len(out) == 5                      # 6 docs, one exact dup pair
-    dup = out[out["n_dups"] == 2]
-    assert len(dup) == 1 and int(dup["keep_doc_id"].iloc[0]) == 0
-
-
-def test_minhash_lsh_dedup_clusters_near_dups(docs_ds):
-    from jsonld_js_ray.stages.dedup import minhash_lsh_dedup
-
-    out = minhash_lsh_dedup(docs_ds, threshold=0.5).to_pandas()
-    by_id = dict(zip(out["doc_id"], out["cluster_id"]))
-    assert by_id[1] == 0                       # exact dup joins doc 0
-    assert by_id[2] == 0                       # near dup joins doc 0
-    assert by_id[3] not in (0,)                # unrelated stays apart
-    keep = set(out[out["keep"]]["doc_id"])
-    assert 0 in keep and 1 not in keep and 2 not in keep
-
-
-def test_simhash_dedup_exact_pair(docs_ds):
-    from jsonld_js_ray.stages.dedup import simhash64, simhash_dedup
-
-    assert simhash64("a b c") == simhash64("a b c")
-    out = simhash_dedup(docs_ds, max_hamming=3).to_pandas()
-    by_id = dict(zip(out["doc_id"], out["cluster_id"]))
-    assert by_id[1] == 0                       # identical text, hamming 0
-
-
-def test_ngram_jaccard_kernel():
-    from jsonld_js_ray.stages.dedup import ngram_jaccard
-
-    assert ngram_jaccard("abcdef", "abcdef") == 1.0
-    assert ngram_jaccard("abcdef", "zzzzzz") == 0.0
-    assert 0.0 < ngram_jaccard("abcdef", "abcdxf") < 1.0
 
 
 def test_text_stats_and_lang_id(ray_session):
@@ -96,7 +31,7 @@ def test_text_stats_and_lang_id(ray_session):
 def test_quality_and_fingerprint(ray_session):
     import ray.data as rd
 
-    from jsonld_js_ray.stages.text import Fingerprinter, quality_score_batch
+    from jsonld_js_ray.stages.text import quality_score_batch
 
     tbl = pa.table({
         "doc_id": pa.array([0, 1], pa.int64()),
@@ -108,99 +43,6 @@ def test_quality_and_fingerprint(ray_session):
     })
     q = quality_score_batch(tbl).to_pydict()
     assert q["quality"][0] > q["quality"][1]
-
-    fp = Fingerprinter()
-    a = fp.fingerprint("some reasonably long text for fingerprinting here")
-    b = fp.fingerprint("some reasonably long text for fingerprinting here")
-    c = fp.fingerprint("entirely other content that shares nothing at all")
-    assert a == b != c
-
-
-def test_ngram_jaccard_dedup_pipeline(docs_ds):
-    from jsonld_js_ray.stages.dedup import ngram_jaccard_dedup
-
-    out = ngram_jaccard_dedup(docs_ds, threshold=0.6).to_pandas()
-    by_id = dict(zip(out["doc_id"], out["cluster_id"]))
-    assert by_id[1] == 0            # exact dup pair clusters
-    assert by_id[2] == 0            # near dup (one word changed)
-    assert by_id[5] == 5            # tiny unrelated doc stays alone
-
-
-def test_minhash_agreement_estimates_jaccard():
-    """Regression for the collapsed multiply-shift family: signature
-    agreement fraction must estimate Jaccard (the broken (A·x+B) mod P
-    family made all permutations agree on the same min shingle, so one
-    new shingle flipped most positions)."""
-    from jsonld_js_ray.stages.dedup import minhash_sig, word_shingles
-
-    toks = [f"tok{i}" for i in range(60)]
-    a = " ".join(toks)
-    b = " ".join(toks + ["extra"])
-    sa, sb = word_shingles(a), word_shingles(b)
-    j = len(sa & sb) / len(sa | sb)
-    agree = float((minhash_sig(a) == minhash_sig(b)).mean())
-    assert j > 0.9
-    assert abs(agree - j) < 0.15, (agree, j)
-
-
-def test_simhash_in_bucket_verification(ray_session):
-    """Verified pairs come out of the band groupby (no driver sig map):
-    exact copies cluster, unrelated docs do not."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.dedup import simhash_dedup
-
-    texts = ["the quick brown fox jumps over the lazy dog again"] * 2 + \
-        ["completely different text about ray data pipelines at scale"]
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(texts, pa.large_string()),
-    }))
-    out = simhash_dedup(ds).to_pandas().set_index("doc_id")
-    assert out.loc[1, "cluster_id"] == 0 and not out.loc[1, "keep"]
-    assert out.loc[2, "cluster_id"] == 2 and out.loc[2, "keep"]
-
-
-def test_planted_dedup_oracle(ray_session, sf_dir):
-    """Construction-based oracle: interleaved doc-unique corpus makes
-    minhash dedup output exactly SQL-predictable."""
-    import duckdb
-
-    from jsonld_js_ray.pipelines.training_data import (
-        q_dedup_minhash_planted,
-    )
-    from jsonld_js_ray.stages.dedup import DEDUP_PLANTED_SQL
-
-    mine = q_dedup_minhash_planted(sf_dir).to_pandas()
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM "
-            f"'{sf_dir}/documents.parquet'")
-    orc = con.sql(DEDUP_PLANTED_SQL).df()
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    assert a.equals(b.astype(a.dtypes.to_dict()))
-
-
-def test_planted_corpus_excludes_empty_docs(ray_session):
-    """Empty/whitespace docs break every sketch's planted contract
-    (empty shingle sets, shared SimHash 0, equal fingerprints) — the
-    corpus builder must drop them, mirroring WHERE nt >= 1."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.dedup import (
-        minhash_lsh_dedup_planted, planted_documents,
-    )
-
-    long_doc = " ".join(f"word{i}" for i in range(25))   # ≥ 20 tokens
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(["", "   ", long_doc], pa.large_string()),
-    }))
-    corpus = planted_documents(ds).to_pandas()
-    assert set(corpus["doc_id"]) == {2, 1_000_002, 2_000_002}
-    out = minhash_lsh_dedup_planted(ds).to_pandas().set_index("doc_id")
-    assert out.loc[1_000_002, "cluster_id"] == 2
 
 
 def test_token_counts_matches_oracle(ray_session, sf_dir):
@@ -248,95 +90,6 @@ def test_split_and_sample_deterministic_and_oracled(ray_session, sf_dir):
     sp = q_split_assign(sf_dir).to_pandas()
     frac = (sp["split"] == "train").mean()
     assert 0.8 < frac < 0.97
-
-
-def test_distributed_cluster_labeling_equals_union_find(ray_session,
-                                                        sf_dir):
-    """The propagation-based labeling must produce exactly the clusters
-    the driver union-find produces (planted corpus: known clusters)."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.dedup import (
-        minhash_lsh_dedup_planted, minhash_lsh_dedup_distributed,
-        planted_documents,
-    )
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    corpus = planted_documents(docs).materialize()
-    uf = minhash_lsh_dedup_planted(docs).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    dist = minhash_lsh_dedup_distributed(corpus, threshold=0.7) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert uf.equals(dist[uf.columns.tolist()])
-
-
-def test_distributed_labeling_handles_long_chains(ray_session):
-    """A 20-hop adjacent-pair chain (diameter > the old 10-round cap)
-    must fold to ONE cluster under the default max_rounds=50."""
-    import pandas as pd
-    import ray.data as rd
-
-    from jsonld_js_ray.stages.dedup import cluster_pairs_distributed
-
-    n = 21
-    docs = rd.from_arrow(pa.table({
-        "doc_id": pa.array(range(n), pa.int64()),
-        "text": pa.array([f"doc {i}" for i in range(n)],
-                         pa.large_string()),
-    }))
-    pairs = pd.DataFrame({"a": list(range(n - 1)),
-                          "b": list(range(1, n))})
-    out = cluster_pairs_distributed(docs, pairs).to_pandas()
-    assert set(out["cluster_id"]) == {0}
-    assert out[out["keep"]]["doc_id"].tolist() == [0]
-
-
-def test_adaptive_labeler_threshold_swaps_to_distributed(
-        ray_session, sf_dir, monkeypatch):
-    """Above DISTRIBUTED_LABELER_PAIRS verified pairs, minhash_lsh_dedup
-    must auto-swap to the distributed labeler and still produce the
-    exact union-find clusters."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages import dedup
-
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"])
-    corpus = dedup.planted_documents(docs).materialize()
-    baseline = dedup.minhash_lsh_dedup(corpus, threshold=0.7) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dedup, "DISTRIBUTED_LABELER_PAIRS", 0)
-    swapped = dedup.minhash_lsh_dedup(corpus, threshold=0.7) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert baseline.equals(swapped[baseline.columns.tolist()])
-
-
-def test_strict_caps_raise_instead_of_truncating(ray_session):
-    """Oracle-facing (planted) paths run with strict_caps=True: a
-    hot-bucket cap must fail the run loudly, never silently under-merge
-    (ADVICE: worker warnings are easy to miss on the driver)."""
-    import ray.data as rd
-
-    from jsonld_js_ray.stages import dedup
-
-    # 150 identical docs -> every band bucket holds C(150,2)=11175
-    # candidate pairs > MAX_PAIRS_PER_BUCKET=10000 (a real worker-side
-    # cap hit: monkeypatching the constant would not reach workers)
-    n = 150
-    docs = rd.from_arrow(pa.table({
-        "doc_id": pa.array(range(n), pa.int64()),
-        "text": pa.array(["one two three four five six"] * n,
-                         pa.large_string()),
-    }))
-    import pytest as _pytest
-    with _pytest.raises(Exception, match="strict_caps"):
-        dedup.minhash_lsh_dedup(docs, strict_caps=True).to_pandas()
-    # non-strict: same corpus completes (warn + truncate); the first
-    # 10000 ordered pairs keep the clique connected, so labeling is
-    # still exact here
-    out = dedup.minhash_lsh_dedup(docs, strict_caps=False).to_pandas()
-    assert len(out) == n and set(out["cluster_id"]) == {0}
 
 
 def test_scrub_pii_masks_in_order(ray_session):
