@@ -275,8 +275,6 @@ def _q_kg_merged_node_props(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from jsonld_js_ray.pipelines import training_data as td
-
     return {
         # KG construction (flagship)
         "transcripts": _q_transcripts,
@@ -313,23 +311,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "kg_merged_node_props": _q_kg_merged_node_props,
         "kg_resource_allocation": _q_kg_resource_allocation,
         "kg_entity_lift": _q_kg_entity_lift,
-        # training-data ops
-        "text_stats": td.q_text_stats,
-        "token_counts": td.q_token_counts,
-        "split_assign": td.q_split_assign,
-        "sample_docs": td.q_sample_docs,
-        "lang_id": td.q_lang_id,
-        "quality": td.q_quality,
-        "normalize_text": td.q_normalize_text,
-        "scrub_pii": td.q_scrub_pii,
-        "curation_filter": td.q_curation_filter,
-        "decontaminate": td.q_decontaminate,
-        "stratified_sample": td.q_stratified_sample,
-        "mix_sources": td.q_mix_sources,
-        "repetition": td.q_repetition,
-        "corpus_token_quantiles": td.q_corpus_token_quantiles,
-        "chunk_docs": td.q_chunk_docs,
-        "length_outlier_filter": td.q_length_outlier_filter,
     }
 
 
@@ -654,24 +635,6 @@ def oracle_sql() -> dict[str, str]:
         TRIPLE_STATS_ORACLE_SQL,
     )
     from jsonld_js_ray.stages.linker import MENTIONS_SQL
-    from jsonld_js_ray.stages.text import (
-        CHUNK_DOCS_SQL,
-        CORPUS_TOKEN_QUANTILES_SQL,
-        DECONTAMINATE_SQL,
-        LANG_ID_SQL,
-        LENGTH_OUTLIER_FILTER_SQL,
-        NORMALIZE_TEXT_SQL,
-        REPETITION_SQL,
-        STRATIFIED_SAMPLE_SQL,
-        MIX_SOURCES_SQL,
-        QUALITY_SQL,
-        SAMPLE_DOCS_SQL,
-        SCRUB_PII_SQL,
-        SPLIT_ASSIGN_SQL,
-        TEXT_STATS_SQL,
-        TOKEN_COUNTS_SQL,
-        curation_filter_sql,
-    )
     from jsonld_js_ray.stages.entity_merge import (
         _entities_canonical_planted_sql,
         _entities_canonical_sql,
@@ -769,36 +732,4 @@ def oracle_sql() -> dict[str, str]:
         "kg_resource_allocation": _resource_allocation_oracle(),
         # conversation-level co-mention lift (statistical link proposal)
         "kg_entity_lift": _entity_lift_oracle(),
-        "text_stats": TEXT_STATS_SQL,
-        # quality is exact integer ppm arithmetic over the text_stats
-        # counters (floor division mirrored on both sides)
-        "quality": QUALITY_SQL,
-        "token_counts": TOKEN_COUNTS_SQL,
-        "split_assign": SPLIT_ASSIGN_SQL,
-        "sample_docs": SAMPLE_DOCS_SQL,
-        "lang_id": LANG_ID_SQL,
-        # PII scrub + curation keep/drop: RE2 regex semantics on both
-        # sides, fixed pattern order, integer counters
-        "scrub_pii": SCRUB_PII_SQL,
-        "curation_filter": curation_filter_sql(),
-        # benchmark-overlap decontamination: deterministic probe set
-        # (doc_id % mod) + substring containment, exact on both sides
-        "decontaminate": DECONTAMINATE_SQL,
-        # per-(lang, source) deterministic K-representative sample:
-        # md5 hash order mirrored by row_number() in SQL
-        "stratified_sample": STRATIFIED_SAMPLE_SQL,
-        # per-source mixture resampling with epoch indices: integer
-        # ppt weights + md5-prefix32 decisions, range/unnest in SQL
-        "mix_sources": MIX_SOURCES_SQL,
-        # within-doc duplicate bigram/trigram fraction (integer ppm)
-        "repetition": REPETITION_SQL,
-        # corpus-wide exact token-count quantiles via value histogram
-        "corpus_token_quantiles": CORPUS_TOKEN_QUANTILES_SQL,
-        # overlapping token-window chunking (1->N flat_map class)
-        "chunk_docs": CHUNK_DOCS_SQL,
-        # self-calibrating length filter: corpus [p25, p99] band from
-        # the exact quantile scan, then one streaming filter pass
-        "length_outlier_filter": LENGTH_OUTLIER_FILTER_SQL,
-        # canonical lowercase/alnum-collapsed text (RE2 both sides)
-        "normalize_text": NORMALIZE_TEXT_SQL,
     }

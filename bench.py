@@ -41,12 +41,11 @@ HEADLINE_KEYS = ("metric", "value", "unit", "quads", "turns",
 
 
 def _warm_cache(sf_dir: str) -> None:
-    for name in ("events", "documents"):
-        path = f"{sf_dir}/{name}.parquet"
-        if os.path.exists(path):
-            with open(path, "rb") as f:
-                while f.read(1 << 24):
-                    pass
+    path = f"{sf_dir}/events.parquet"
+    if os.path.exists(path):
+        with open(path, "rb") as f:
+            while f.read(1 << 24):
+                pass
 
 
 def run_bench() -> dict:
@@ -284,13 +283,6 @@ def run_bench() -> dict:
     t0 = time.perf_counter()
     property_unpivot(quads_m).count()
     queries["kg_property_unpivot"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.pipelines.training_data import bench_queries
-    for name, fn in bench_queries().items():
-        gc.collect()        # object-store hygiene between queries
-        t0 = time.perf_counter()
-        fn(SF_DIR)
-        queries[name] = round(time.perf_counter() - t0, 3)
 
     extras["quads"] = n_quads
     extras["turns"] = n_turns

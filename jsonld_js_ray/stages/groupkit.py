@@ -1,6 +1,5 @@
 """Vectorized run (sorted-group) index arithmetic shared by the
-grouped stages (stages/graph.py, stages/pivot.py, stages/text.py,
-pipelines/kg.py).
+grouped stages (stages/graph.py, stages/pivot.py, pipelines/kg.py).
 
 A "run" is a maximal block of equal values in an already-sorted key
 array; per-group rank/top-k reduces to these three primitives plus one
@@ -91,15 +90,6 @@ def pair_bucket_ids(a: np.ndarray, b: np.ndarray,
          * np.uint64(1000003)
          ^ pd.util.hash_array(np.asarray(b, dtype=object)))
     return (h % n_buckets).astype(np.int32)
-
-
-def quantile_disc_pos(p: float, n):
-    """1-based sorted position of DuckDB's quantile_disc(x, p) in a
-    group of n non-NULL values: ceil(p*n) clamped to >= 1. Verified
-    empirically against DuckDB for n = 1..3000 and p in {.25,.5,.9,.99}.
-    n may be a scalar or an int array; the result
-    matches its shape."""
-    return np.maximum(np.ceil(p * np.asarray(n)).astype(np.int64), 1)
 
 
 def sorted_lookup(build_keys: np.ndarray, probes: np.ndarray):

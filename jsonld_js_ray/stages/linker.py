@@ -40,13 +40,6 @@ SCORE_SLOPE = 1 / 20.0     # per surface character
 SCORE_DIGITS = 3
 
 
-def link_score(surface: str) -> float:
-    """Deterministic entity-link confidence in [0, 1] (same constants
-    feed MentionDetector's vectorized scoring — keep in sync)."""
-    return round(min(1.0, SCORE_BASE + len(surface) * SCORE_SLOPE),
-                 SCORE_DIGITS)
-
-
 class MentionDetector:
     """Actor: transcript batches → mention rows.
 

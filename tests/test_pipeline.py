@@ -130,6 +130,33 @@ def test_assemble_conversation_doc_shape():
     assert expanded[0]["@type"] == [CONV_VOCAB + "Conversation"]
 
 
+def test_mention_detector_kernel():
+    """The Arrow mention kernel, without Ray: null text yields nothing,
+    2-letter tokens drop, case folds, any non-ASCII character splits a
+    token, and long surfaces cap the link score at 1.0."""
+    from jsonld_js_ray.stages.assemble import ENTITY_NS
+    from jsonld_js_ray.stages.linker import MentionDetector
+
+    tbl = pa.table({
+        "conv_id": pa.array(["c1", "c1", "c2"], pa.string()),
+        "turn_idx": pa.array([0, 1, 0], pa.int32()),
+        "text": pa.array([
+            None,
+            "Go to BeRLin",
+            "ok—Zürich·ANTIDISESTABLISHMENTARIANISM",
+        ], pa.string()),
+    })
+    out = MentionDetector()(tbl).to_pydict()
+    surfaces = ["berlin", "rich", "antidisestablishmentarianism"]
+    assert out["surface"] == surfaces
+    assert out["conv_id"] == ["c1", "c2", "c2"]
+    assert out["turn_idx"] == [1, 0, 0]
+    assert out["score"] == [round(min(1.0, 0.5 + len(s) / 20), 3)
+                            for s in surfaces]
+    assert out["score"][-1] == 1.0
+    assert out["entity_iri"] == [ENTITY_NS + s for s in surfaces]
+
+
 def test_mentions_and_entity_canonicalization(ray_session):
     import ray.data as rd
 

@@ -1,7 +1,10 @@
-"""Graph and text operator tests: k-core, reach, common neighbors,
-property table, resource allocation, communities, weighted PageRank,
-entity lift, text normalization (semantics + DuckDB oracle parity at
-sf0.001; tools/oracle_sweep.py re-checks parity at sf0.01)."""
+"""Graph operators over the KG quad table: PageRank (plain and
+mention-weighted), triangles, components, communities, k-core, reach,
+common neighbors, resource allocation, degree histogram, property
+table, entity lift (semantics + DuckDB oracle parity at sf0.001;
+tools/oracle_sweep.py re-checks parity at sf0.01). Clustering, truss
+support, Jaccard neighbors, assortativity, sampling, random walks and
+unpivot are in test_session4_ops.py."""
 
 from __future__ import annotations
 
@@ -23,30 +26,6 @@ def _parity(E, q, sf_dir, views):
     b = orc[cols].sort_values(cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
     return a
-
-
-def test_normalize_text_semantics():
-    from jsonld_js_ray.stages.text import normalize_text_batch
-
-    tbl = pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "text": pa.array([
-            "  Hello,   WORLD!! 42  ",
-            "a-b_c.d",
-            "!!!",
-            None,
-        ], pa.string()),
-    })
-    out = normalize_text_batch(tbl).to_pydict()
-    assert out["norm_text"] == ["hello world 42", "a b c d", "", ""]
-    assert out["n_chars_norm"] == [14, 7, 0, 0]
-
-
-def test_normalize_text_oracle_parity_sf(ray_session, sf_dir):
-    import __ray_entry__ as E
-
-    a = _parity(E, "normalize_text", sf_dir, ("documents",))
-    assert len(a) == 500 and (a["n_chars_norm"] > 0).any()
 
 
 def test_kcore_onion_semantics(ray_session):
@@ -78,21 +57,9 @@ def test_kcore_onion_semantics(ray_session):
 
 
 def test_kcore_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-
     import __ray_entry__ as E
 
-    mine = E.queries()["kg_kcore"](sf_dir).to_pandas()
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    orc = con.sql(E.oracle_sql()["kg_kcore"]).df()
-    import pandas as pd
-
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+    a = _parity(E, "kg_kcore", sf_dir, ("events",))
     # the KG's star shape cascades: turns, then convs/entities, then
     # the class hub — at least three distinct onion layers
     assert a["peeled_round"].nunique() >= 3
@@ -139,20 +106,9 @@ def test_reach_bfs_semantics(ray_session):
 
 
 def test_reach_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-    import pandas as pd
-
     import __ray_entry__ as E
 
-    mine = E.queries()["kg_reach"](sf_dir).to_pandas()
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    orc = con.sql(E.oracle_sql()["kg_reach"]).df()
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+    a = _parity(E, "kg_reach", sf_dir, ("events",))
     # entity seeds at 0, every turn at 1, convs at 2, class hub at 3
     assert set(a["dist"].unique()) == {0, 1, 2, 3}
 
@@ -182,20 +138,9 @@ def test_common_neighbors_semantics(ray_session):
 
 
 def test_common_neighbors_oracle_parity_sf(ray_session, sf_dir):
-    import duckdb
-    import pandas as pd
-
     import __ray_entry__ as E
 
-    mine = E.queries()["kg_common_neighbors"](sf_dir).to_pandas()
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM "
-            f"'{sf_dir}/events.parquet'")
-    orc = con.sql(E.oracle_sql()["kg_common_neighbors"]).df()
-    cols = sorted(mine.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = orc[cols].sort_values(cols).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+    a = _parity(E, "kg_common_neighbors", sf_dir, ("events",))
     # turns sharing a conversation are the dominant wedge pairs
     assert (a["common"] > 1).any()
 
@@ -233,22 +178,10 @@ def test_property_table_semantics(ray_session):
 
 
 def test_property_table_and_full_outer_parity_sf(ray_session, sf_dir):
-    import duckdb
-    import pandas as pd
-
     import __ray_entry__ as E
 
-    for q in ("kg_property_table",):
-        mine = E.queries()[q](sf_dir).to_pandas()
-        con = duckdb.connect()
-        con.sql(f"CREATE VIEW events AS SELECT * FROM "
-                f"'{sf_dir}/events.parquet'")
-        orc = con.sql(E.oracle_sql()[q]).df()
-        cols = sorted(mine.columns)
-        a = mine[cols].sort_values(cols).reset_index(drop=True)
-        b = orc[cols].sort_values(cols).reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-        assert len(a) > 0
+    a = _parity(E, "kg_property_table", sf_dir, ("events",))
+    assert len(a) > 0
 
 
 def test_resource_allocation_semantics(ray_session):
@@ -416,3 +349,149 @@ def test_pagerank_weighted_oracle_parity_sf(ray_session, sf_dir):
     a = _parity(E, "kg_pagerank_weighted", sf_dir, ("events",))
     # bipartite conv <-> entity graph: convs + the 5 entities
     assert len(a) > 5 and a["pagerank"].nunique() > 1
+
+
+def test_pagerank_semantics_tiny_graph(ray_session):
+    """3-node cycle + a hub: the distributed integer PageRank must
+    equal the plain-Python reference of the same integer recurrence."""
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.graph import (
+        PR_BASE, PR_ITERS, PR_SCALE, pagerank_quads,
+    )
+
+    edges = [("a", "b"), ("b", "c"), ("c", "a"),
+             ("a", "hub"), ("b", "hub"), ("c", "hub"),
+             ("a", "b")]          # duplicate must collapse
+    quads = pa.table({
+        "subj": pa.array([e[0] for e in edges], pa.string()),
+        "obj_kind": pa.array(["iri"] * len(edges), pa.string()),
+        "obj_value": pa.array([e[1] for e in edges], pa.string()),
+    })
+    out = pagerank_quads(rd.from_arrow(quads)).to_pandas() \
+        .set_index("node")["pagerank"].to_dict()
+
+    dedup = sorted(set(edges))
+    nodes = sorted({u for u, _ in dedup} | {v for _, v in dedup})
+    deg = {u: sum(1 for s, _ in dedup if s == u) for u in nodes}
+    score = {u: PR_SCALE for u in nodes}
+    for _ in range(PR_ITERS):
+        nxt = {}
+        for v in nodes:
+            insum = sum(score[u] // deg[u] for u, w in dedup if w == v)
+            nxt[v] = PR_BASE + (85 * insum) // 100
+        score = nxt
+    assert out == score
+    assert out["hub"] > out["a"]          # 3 in-edges beats 1
+
+
+def test_pagerank_oracle_parity_sf(ray_session, sf_dir):
+    import __ray_entry__ as E
+
+    a = _parity(E, "kg_pagerank", sf_dir, ("events",))
+    assert len(a) > 100
+
+
+def _mini_quads(edges, literals=()):
+    """Synthetic quad table with only the columns triangle/pagerank
+    extraction reads (subj, obj_kind, obj_value)."""
+    subj = [s for s, _ in edges] + [s for s, _ in literals]
+    objv = [o for _, o in edges] + [o for _, o in literals]
+    kind = ["iri"] * len(edges) + ["literal"] * len(literals)
+    return pa.table({
+        "subj": pa.array(subj, pa.string()),
+        "obj_kind": pa.array(kind, pa.string()),
+        "obj_value": pa.array(objv, pa.string()),
+    })
+
+
+def test_triangle_stats_semantics(ray_session):
+    """K4 plus a pendant triangle: reversed duplicates collapse to one
+    undirected edge, self-loops and literals are ignored, and the count
+    matches a brute-force enumeration."""
+    import itertools
+
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.graph import triangle_stats
+
+    edges = [
+        # K4 on A,B,C,D (one edge also present reversed -> must dedup)
+        ("A", "B"), ("B", "A"), ("A", "C"), ("A", "D"),
+        ("B", "C"), ("B", "D"), ("C", "D"),
+        # pendant triangle E-A-B
+        ("E", "A"), ("E", "B"),
+        # noise: self-loop, a path that closes nothing
+        ("F", "F"), ("F", "G"), ("G", "H"),
+    ]
+    tbl = _mini_quads(edges, literals=[("A", "a literal value")])
+    out = triangle_stats(rd.from_arrow(tbl)).to_pydict()
+
+    und = {tuple(sorted(e)) for e in edges if e[0] != e[1]}
+    nodes = {n for e in und for n in e}
+    brute = sum(1 for a, b, c in itertools.combinations(sorted(nodes), 3)
+                if {(a, b), (a, c), (b, c)} <= und)
+    assert out["n_nodes"] == [len(nodes)]
+    assert out["n_edges"] == [len(und)]
+    assert out["n_triangles"] == [brute]
+    assert brute == 5          # 4 in K4 + EAB
+
+
+def test_triangle_stats_oracle_parity_sf(ray_session, sf_dir):
+    import __ray_entry__ as E
+
+    a = _parity(E, "kg_triangles", sf_dir, ("events",))
+    assert int(a.n_edges.iloc[0]) > 1000
+
+
+def test_triangle_stats_empty_graph(ray_session):
+    """No IRI edges at all -> all-zero stats, no crash."""
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.graph import triangle_stats
+
+    tbl = _mini_quads([], literals=[("A", "x"), ("B", "y")])
+    out = triangle_stats(rd.from_arrow(tbl)).to_pydict()
+    assert out == {"n_nodes": [0], "n_edges": [0], "n_triangles": [0]}
+
+
+def test_components_semantics(ray_session):
+    """Three components get three labels (each the min node string);
+    a path longer than LP_ITERS hops pins the R-hop semantics: nodes
+    farther than LP_ITERS from the min keep a larger label."""
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.graph import LP_ITERS, components_quads
+
+    assert LP_ITERS == 4
+    edges = [
+        ("B", "A"), ("B", "C"), ("C", "D"),          # comp 1: min A
+        ("X", "Y"), ("Y", "Z"),                      # comp 2: min X
+        # comp 3: a 6-hop path from the min label "a0":
+        # a0 - p1 - p2 - p3 - p4 - p5 - p6
+        ("a0", "p1"), ("p1", "p2"), ("p2", "p3"),
+        ("p3", "p4"), ("p4", "p5"), ("p5", "p6"),
+    ]
+    tbl = _mini_quads(edges)
+    out = components_quads(rd.from_arrow(tbl)).to_pandas() \
+        .set_index("node")["component"]
+    assert set(out[["A", "B", "C", "D"]]) == {"A"}
+    assert set(out[["X", "Y", "Z"]]) == {"X"}
+    # within 4 hops of a0 -> labeled a0
+    assert set(out[["a0", "p1", "p2", "p3", "p4"]]) == {"a0"}
+    # p5 is 5 hops out: after 4 rounds its label is the min within
+    # 4 hops of p5 = min(p1..p6, a0 is 5 away) = "p1"; p6 likewise
+    assert out["p5"] == "p1" and out["p6"] == "p2"
+
+
+def test_components_oracle_parity_sf(ray_session, sf_dir):
+    import __ray_entry__ as E
+
+    a = _parity(E, "kg_components", sf_dir, ("events",))
+    assert len(a) > 1000
+
+
+def test_degree_hist_oracle_parity_sf(ray_session, sf_dir):
+    import __ray_entry__ as E
+
+    _parity(E, "kg_degree_hist", sf_dir, ("events",))

@@ -28,7 +28,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 
-TABLES = ["events", "documents"]
+TABLES = ["events"]
 
 
 def _to_pandas(res):
