@@ -521,171 +521,3 @@ def conv_entity_mentions(sf_dir: str):
                                       batch_format="pandas")
     return parts.groupby(["conv", "entity"]).aggregate(
         Sum("n_part", alias_name="n_mentions"))
-
-
-
-# co-mention lift: the statistical link-proposal twin of the graph
-# ops in stages/graph.py (common_neighbors scores structure; lift
-# scores association strength). lift(e1, e2) =
-# (N · n12 · 10^6) // (n1 · n2) — all integers (N = convs with ≥1
-# mention, n1/n2 = convs mentioning each entity, n12 = convs
-# mentioning both), so the DuckDB mirror is hash-exact; > 10^6 means
-# the pair co-occurs more often than independence predicts.
-LIFT_SCALE = 10 ** 6
-LIFT_BUCKETS = 64
-
-
-def entity_lift(sf_dir: str, scale: int = LIFT_SCALE, ce=None):
-    """quads-with-mentions → (e1, e2, n_both, lift): conversation-level
-    co-mention lift per entity pair (e1 < e2), exact fixed-point.
-    ``ce`` lets the caller pass the pinned (conv, entity, n_mentions)
-    artifact shared with pagerank_weighted so the upstream mention
-    pipeline runs once per session, not per consumer."""
-    ce = (ce if ce is not None else conv_entity_mentions(sf_dir)) \
-        .select_columns(["conv", "entity"])
-    return _lift_over_ce(ce, scale)
-
-
-def _lift_over_ce(ce, scale: int = LIFT_SCALE):
-    """Core lift pipeline over a distinct (conv, entity) Dataset.
-
-    Shape: the relation is materialized ONCE (three consumers — pair
-    generation, per-entity counts, the conv-count scalar — would
-    re-run the upstream per consumer otherwise; six exchanges total);
-    pairs are generated conv-bucketed with in-bucket partial counts;
-    the two per-entity count attachments are bucketed hash joins on
-    the entity's hash (the entity vocabulary is never broadcast or
-    collected — the only driver-side value is the N scalar). Join
-    rows ride an explicit int8 flag with 0-filled (never NULL) int
-    columns so counts stay int64 end-to-end (a NULL-padded union
-    would route them through pandas float64 and silently round past
-    2^53)."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.groupkit import run_pair_indices
-
-    ce = ce.materialize()
-    n_convs = int(ce.groupby("conv")
-                  .aggregate(Count(alias_name="n")).count())
-    # materialized: both _attach calls consume it (a lazy shared
-    # subplan re-executes once per consumer)
-    n1 = ce.groupby("entity").aggregate(
-        Count(alias_name="n1")).materialize()
-
-    def conv_bucket(batch: pa.Table) -> pa.Table:
-        convs = batch["conv"].to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(convs.astype(object))
-        return batch.append_column(
-            "bucket", pa.array((h % LIFT_BUCKETS).astype(np.int32)))
-
-    def pairs_in_bucket(g: "pd.DataFrame") -> pa.Table:
-        convs = g["conv"].to_numpy()
-        ents = g["entity"].to_numpy()
-        order = np.lexsort((ents, convs))
-        cs, es = convs[order], ents[order]
-        i, j = run_pair_indices(cs)
-        # entities sorted within each conv run ⇒ es[i] < es[j]
-        e1, e2 = es[i], es[j]
-        df = pd.DataFrame({"e1": e1, "e2": e2})
-        part = df.groupby(["e1", "e2"], sort=False) \
-            .size().reset_index(name="n_part")
-        return pa.table({
-            "e1": pa.array(part["e1"], pa.string()),
-            "e2": pa.array(part["e2"], pa.string()),
-            "n_part": pa.array(
-                part["n_part"].to_numpy().astype(np.int64)),
-        })
-
-    pairs = ce.map_batches(conv_bucket, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(pairs_in_bucket,
-                                      batch_format="pandas") \
-        .groupby(["e1", "e2"]).aggregate(Sum("n_part",
-                                             alias_name="n_both"))
-
-    def _attach(pairs_ds, pair_cols: list, key_col: str,
-                out_col: str):
-        """Bucketed hash join: pair rows and (entity, n1) rows
-        co-locate by hash(entity); the merge never leaves the bucket.
-        ``pair_cols`` is the STATIC schema of pairs_ds — probing
-        pairs_ds.schema() here (or worse, inside a worker UDF) would
-        execute the whole lazy upstream plan once per probe."""
-        def tag_pairs(batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False)
-            h = pd.util.hash_array(keys.astype(object))
-            batch = batch.append_column(
-                "cnt", pa.array(np.zeros(len(batch), np.int64)))
-            batch = batch.append_column(
-                "isc", pa.array(np.zeros(len(batch), np.int8)))
-            return batch.append_column(
-                "jbucket",
-                pa.array((h % LIFT_BUCKETS).astype(np.int32)))
-
-        def tag_counts(batch: pa.Table) -> pa.Table:
-            keys = batch["entity"].to_numpy(zero_copy_only=False)
-            h = pd.util.hash_array(keys.astype(object))
-            k = len(batch)
-            zeros = pa.array(np.zeros(k, np.int64))
-            cols = {}
-            for c in pair_cols:
-                if c == key_col:
-                    cols[c] = batch["entity"]
-                elif c in ("e1", "e2"):
-                    cols[c] = pa.array([""] * k, pa.string())
-                else:
-                    cols[c] = zeros
-            cols["cnt"] = batch["n1"].cast(pa.int64())
-            cols["isc"] = pa.array(np.ones(k, np.int8))
-            cols["jbucket"] = pa.array(
-                (h % LIFT_BUCKETS).astype(np.int32))
-            return pa.table(cols)
-
-        def join_in_bucket(g: "pd.DataFrame") -> pa.Table:
-            is_c = (g["isc"] == 1).to_numpy()
-            p = g[~is_c][pair_cols]
-            c = g[is_c][[key_col, "cnt"]]
-            m = p.merge(c, on=key_col)
-            out = {}
-            for col in pair_cols:
-                out[col] = pa.array(
-                    m[col], pa.string() if col in ("e1", "e2")
-                    else pa.int64())
-            out[out_col] = pa.array(m["cnt"], pa.int64())
-            return pa.table(out)
-
-        tagged = pairs_ds.map_batches(tag_pairs,
-                                      batch_format="pyarrow")
-        order = pair_cols + ["cnt", "isc", "jbucket"]
-        counts = n1.map_batches(tag_counts, batch_format="pyarrow") \
-            .select_columns(order)
-        return tagged.select_columns(order).union(counts) \
-            .groupby("jbucket").map_groups(join_in_bucket,
-                                           batch_format="pandas")
-
-    with1 = _attach(pairs, ["e1", "e2", "n_both"], "e1", "c1")
-    both = _attach(with1, ["e1", "e2", "n_both", "c1"], "e2", "c2")
-
-    def score(batch: pa.Table, _n=n_convs, _scale=scale) -> pa.Table:
-        n12 = batch["n_both"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        c1 = batch["c1"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        c2 = batch["c2"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        if len(n12) and (
-                int(n12.max()) * _n > (2 ** 63 - 1) // _scale
-                or int(c1.max()) * int(c2.max()) > 2 ** 63 - 1):
-            raise OverflowError(
-                "entity_lift: N*n12*scale or c1*c2 exceeds the "
-                "integer contract bound; use a log-domain variant "
-                "at this scale")
-        return pa.table({
-            "e1": batch["e1"],
-            "e2": batch["e2"],
-            "n_both": pa.array(n12),
-            "lift": pa.array((_n * n12 * _scale) // (c1 * c2)),
-        })
-
-    return both.map_batches(score, batch_format="pyarrow")

@@ -12,9 +12,11 @@ import pyarrow as pa
 from ..core import nquads as _nq
 from ..core.constants import XSD_STRING
 from ..core.errors import JsonLdError
+from ..stages.to_rdf_stage import QUAD_SCHEMA
 
-_QUAD_COLUMNS = ["subj", "pred", "obj_kind", "obj_value", "obj_datatype",
-                 "obj_lang", "graph"]
+# the N-Quads wire carries every quad column but conv_id
+_WIRE_SCHEMA = QUAD_SCHEMA.remove(QUAD_SCHEMA.get_field_index("conv_id"))
+_QUAD_COLUMNS = _WIRE_SCHEMA.names
 
 
 def rows_to_terms(batch: pa.Table) -> list[tuple]:
@@ -64,20 +66,10 @@ def terms_to_rows(quads: list[tuple],
             data["obj_datatype"].append(None)
             data["obj_lang"].append(None)
         data["graph"].append("@default" if g[0] == "DefaultGraph" else g[1])
-    tbl = pa.table({
-        "subj": pa.array(data["subj"], pa.string()),
-        "pred": pa.array(data["pred"], pa.string()),
-        "obj_kind": pa.array(data["obj_kind"], pa.string()),
-        "obj_value": pa.array(data["obj_value"], pa.large_string()),
-        "obj_datatype": pa.array(data["obj_datatype"], pa.string()),
-        "obj_lang": pa.array(data["obj_lang"], pa.string()),
-        "graph": pa.array(data["graph"], pa.string()),
-    })
-    if conv_id is not None:
-        tbl = tbl.append_column("conv_id",
-                                pa.array([conv_id] * tbl.num_rows,
-                                         pa.string()))
-    return tbl
+    if conv_id is None:
+        return pa.table(data, schema=_WIRE_SCHEMA)
+    data["conv_id"] = [conv_id] * len(data["subj"])
+    return pa.table(data, schema=QUAD_SCHEMA)
 
 
 def serialize_batch_rows(batch: pa.Table) -> pa.Table:
@@ -276,15 +268,7 @@ def parse_batch(batch: pa.Table) -> pa.Table:
 
 
 def _quad_rows_table(out) -> pa.Table:
-    return pa.table({
-        "subj": pa.array(out["subj"], pa.string()),
-        "pred": pa.array(out["pred"], pa.string()),
-        "obj_kind": pa.array(out["obj_kind"], pa.string()),
-        "obj_value": pa.array(out["obj_value"], pa.large_string()),
-        "obj_datatype": pa.array(out["obj_datatype"], pa.string()),
-        "obj_lang": pa.array(out["obj_lang"], pa.string()),
-        "graph": pa.array(out["graph"], pa.string()),
-    })
+    return pa.table({c: out[c] for c in _QUAD_COLUMNS}, schema=_WIRE_SCHEMA)
 
 
 def write_nquads(quads_ds, out_dir: str,

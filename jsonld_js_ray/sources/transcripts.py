@@ -70,18 +70,16 @@ def derive_turns_from_events(group: pa.Table) -> pa.Table:
     event_type = g["event_type"].to_pylist()
     props = g["props"].to_pylist()
     return pa.table({
-        "conv_id": pa.array([f"conv-{user_id}"] * n, pa.string()),
-        "turn_idx": pa.array(range(n), pa.int32()),
-        "role": pa.array([ROLE_MAP.get(e, "other") for e in event_type],
-                         pa.string()),
+        "conv_id": [f"conv-{user_id}"] * n,
+        "turn_idx": range(n),
+        "role": [ROLE_MAP.get(e, "other") for e in event_type],
         # SQL-consistent null propagation: `event_type || ' ' || props`
         # is NULL when either side is NULL
-        "text": pa.array(
-            [None if (e is None or p is None) else f"{e} {p}"
-             for e, p in zip(event_type, props)], pa.large_string()),
-        "tool": pa.array(event_type, pa.string()),
-        "ts": g["ts"].cast(pa.timestamp("us")),
-    })
+        "text": [None if (e is None or p is None) else f"{e} {p}"
+                 for e, p in zip(event_type, props)],
+        "tool": event_type,
+        "ts": g["ts"],
+    }, schema=TRANSCRIPT_SCHEMA)
 
 
 def read_transcripts(sf_dir: str, parallelism: int | None = None):
@@ -128,11 +126,4 @@ def synthesize_transcripts(n_convs: int = 20, max_turns: int = 12,
                          for _ in range(3 + rng.randrange(8))))
             rows["tool"].append(tools[rng.randrange(len(tools))])
             rows["ts"].append(base_ts + c * 3_600_000_000 + t * 60_000_000)
-    return pa.table({
-        "conv_id": pa.array(rows["conv_id"], pa.string()),
-        "turn_idx": pa.array(rows["turn_idx"], pa.int32()),
-        "role": pa.array(rows["role"], pa.string()),
-        "text": pa.array(rows["text"], pa.large_string()),
-        "tool": pa.array(rows["tool"], pa.string()),
-        "ts": pa.array(rows["ts"], pa.timestamp("us")),
-    })
+    return pa.table(rows, schema=TRANSCRIPT_SCHEMA)

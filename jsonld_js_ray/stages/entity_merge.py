@@ -80,8 +80,8 @@ _MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
 def _hashed_strings(vals: list) -> np.ndarray:
     """Vectorized process-stable 64-bit hashes of a list of strings
     (pandas hash_array: siphash with a fixed key — C speed, no per-row
-    Python hashing). Shingles, bucket keys and label checksums, here
-    and in the graph and pivot stages, all hash through it."""
+    Python hashing). Shingles, bucket keys and label checksums all
+    hash through it."""
     import pandas as pd
 
     if not vals:
@@ -330,7 +330,7 @@ def _get_concat_remote():
     return _concat_blocks_remote
 
 
-def _pin(ds, coalesce: bool = True):
+def _pin(ds):
     """Execute ``ds`` and rebuild a FRESH dataset from the executed
     block refs — a hard lineage cut. ``materialize()`` alone is not
     enough inside an iterative loop: deriving new plans (union/groupby)
@@ -347,13 +347,11 @@ def _pin(ds, coalesce: bool = True):
 
     m = ds.materialize()
     refs = m.to_arrow_refs()
-    if coalesce and len(refs) > 1:
+    if len(refs) > 1:
         target = max(1, min(len(refs),
                             -(-m.count() // _PIN_TARGET_ROWS)))
         # coalesce only when it meaningfully cuts the task count: a
-        # 2→1 move saves one dispatch but costs a concat wave, and
-        # callers with an IN-PLAN repartition (walks' per-round
-        # frontier) must pass through untouched
+        # 2→1 move saves one dispatch but costs a concat wave
         if target <= len(refs) // 2 and len(refs) - target >= 4:
             # one concat-task wave over the block refs — NOT a
             # Dataset.repartition: that would be a second full dataset
@@ -490,7 +488,6 @@ def canonicalize_entities(mentions, threshold: float = 0.6,
     join of labels back onto the stats rows. No vocabulary-sized
     structure ever reaches the driver."""
     import pandas as pd
-    from ray.data.aggregate import Min, Sum
 
     stats = surface_stats(mentions, num_salts).materialize()
     edges = verified_edges(stats, threshold, strict_caps=strict_caps)

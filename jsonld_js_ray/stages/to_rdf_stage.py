@@ -179,13 +179,8 @@ class ToRdfActor:
                 graph.append("@default" if g[0] == "DefaultGraph" else g[1])
                 out_conv.append(conv_id)
 
-        return pa.table({
-            "subj": pa.array(subj, pa.string()),
-            "pred": pa.array(pred, pa.string()),
-            "obj_kind": pa.array(obj_kind, pa.string()),
-            "obj_value": pa.array(obj_value, pa.large_string()),
-            "obj_datatype": pa.array(obj_datatype, pa.string()),
-            "obj_lang": pa.array(obj_lang, pa.string()),
-            "graph": pa.array(graph, pa.string()),
-            "conv_id": pa.array(out_conv, pa.string()),
-        })
+        columns = (subj, pred, obj_kind, obj_value, obj_datatype,
+                   obj_lang, graph, out_conv)       # QUAD_SCHEMA order
+        return pa.Table.from_arrays(
+            [pa.array(c, f.type) for c, f in zip(columns, QUAD_SCHEMA)],
+            schema=QUAD_SCHEMA)

@@ -76,6 +76,26 @@ def test_turn_ordering_is_dense_and_sorted(transcripts_df):
         assert ordered == sorted(ordered)
 
 
+def test_quad_and_transcript_tables_match_their_schemas(ray_session,
+                                                        sf_dir):
+    """Every non-empty block of the flagship's quads and of the derived
+    transcripts carries exactly the declared column types."""
+    import ray
+
+    from jsonld_js_ray.pipelines.kg import build_quads
+    from jsonld_js_ray.sources.transcripts import (TRANSCRIPT_SCHEMA,
+                                                   read_transcripts)
+    from jsonld_js_ray.stages.to_rdf_stage import QUAD_SCHEMA
+
+    for ds, schema in ((build_quads(sf_dir), QUAD_SCHEMA),
+                       (read_transcripts(sf_dir), TRANSCRIPT_SCHEMA)):
+        blocks = [b for b in ray.get(ds.materialize().to_arrow_refs())
+                  if b.num_rows]
+        assert blocks
+        for b in blocks:
+            assert b.schema.equals(schema), (b.schema, schema)
+
+
 def test_resume_skips_completed_shards(ray_session, sf_dir, tmp_path):
     from jsonld_js_ray.pipelines.kg import run_kg_pipeline
     from jsonld_js_ray.state.checkpoint import read_manifest
@@ -562,6 +582,38 @@ def test_label_propagation_chain_cluster(ray_session):
     # chain ends really are not direct near-dups (propagation mattered)
     assert jaccard(chain[0], chain[-1]) < 0.6
     assert jaccard(chain[0], chain[1]) >= 0.6
+
+
+def test_pin_coalesces_tiny_blocks(ray_session):
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.entity_merge import _pin
+
+    ds = rd.range(10_000).map_batches(
+        lambda b: pa.table({"x": b["id"]}), batch_format="pyarrow")
+    ds = ds.repartition(64).materialize()
+    assert ds.num_blocks() == 64
+    pinned = _pin(ds)
+    assert pinned.num_blocks() <= 2          # 10k rows → 1 block target
+    assert pinned.count() == 10_000
+    got = sorted(pinned.to_pandas()["x"])
+    assert got == list(range(10_000))        # rows preserved exactly
+
+
+def test_pin_leaves_large_blocks_alone(ray_session):
+    import ray.data as rd
+
+    from jsonld_js_ray.stages.entity_merge import (_PIN_TARGET_ROWS,
+                                                   _pin)
+
+    n_blocks = 4
+    ds = rd.range(_PIN_TARGET_ROWS * n_blocks).map_batches(
+        lambda b: pa.table({"x": b["id"]}), batch_format="pyarrow") \
+        .repartition(n_blocks).materialize()
+    pinned = _pin(ds)
+    # blocks already at target → no repartition move
+    assert pinned.num_blocks() == n_blocks
+    assert pinned.count() == _PIN_TARGET_ROWS * n_blocks
 
 
 def test_entities_canonical_planted_oracle(ray_session, sf_dir):

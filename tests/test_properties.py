@@ -172,60 +172,3 @@ def test_jcs_stable_and_parseable(value):
     assert a == b
     # canonical output is itself valid JSON that re-canonicalizes to itself
     assert jcs.canonicalize(json.loads(a)) == a
-
-
-# --- vectorized group-kernel properties (no Ray, no oracle needed) ---
-
-@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                max_size=60))
-def test_pair_run_starts_matches_scalar(pairs):
-    import numpy as np
-
-    from jsonld_js_ray.stages.groupkit import pair_run_starts
-
-    a = np.array([p[0] for p in pairs], np.int64)
-    b = np.array([p[1] for p in pairs], np.int64)
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    got = pair_run_starts(a, b).tolist()
-    want = [i for i in range(len(a))
-            if i == 0 or (a[i], b[i]) != (a[i - 1], b[i - 1])]
-    assert got == want
-
-
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                min_size=1, max_size=80))
-@settings(deadline=None)   # first-example numpy/stages import > 200 ms
-def test_mode_per_node_argmax_min_tiebreak(rows):
-    import numpy as np
-
-    from jsonld_js_ray.stages.graph import _mode_per_node
-
-    nodes = np.array([f"n{a}" for a, _ in rows], object)
-    labs = np.array([f"l{b}" for _, b in rows], object)
-    gn, gl = _mode_per_node(nodes, labs)
-    # scalar reference: per node, max count, ties -> min label
-    from collections import Counter, defaultdict
-    per = defaultdict(Counter)
-    for a, b in zip(nodes, labs):
-        per[a][b] += 1
-    want = {a: min(lb for lb, c in cnt.items()
-                   if c == max(cnt.values()))
-            for a, cnt in per.items()}
-    assert dict(zip(gn, gl)) == want
-
-
-@given(st.lists(st.integers(-10**9, 10**9), max_size=60),
-       st.lists(st.integers(-10**9, 10**9), max_size=60))
-def test_sorted_lookup_matches_isin(build, probes):
-    import numpy as np
-
-    from jsonld_js_ray.stages.groupkit import sorted_lookup
-
-    bk = np.unique(np.array(build, np.int64))
-    pr = np.array(probes, np.int64)
-    hit, idx = sorted_lookup(bk, pr)
-    assert (hit == np.isin(pr, bk)).all()
-    # where hit, the index really points at the probe's key
-    if hit.any():
-        assert (bk[idx[hit]] == pr[hit]).all()

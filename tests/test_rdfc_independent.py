@@ -362,3 +362,26 @@ def test_fuzz_engine_vs_independent_and_isomorphism():
             assert canonize(ds, algorithm="URGNA2012") == \
                 independent_canonize(ds, "URGNA2012"), \
                 f"trial {trial}: URGNA2012 divergence"
+
+
+def test_canonize_treats_dataset_as_set():
+    """An RDF dataset is a SET of quads (RDF 1.1 Concepts §4): a
+    duplicated quad must not perturb canonical labels. Found by fuzz
+    seed 864917, where the reference fork emits a duplicate value-quad
+    through its broken @type-container+@list path — rdf-canonize
+    dedupes at N-Quads parse, so matching its comparison semantics
+    requires deduping the in-memory multiset too. Covers both the
+    hashable fast path and the unhashable (list-typed datatype)
+    fallback the fork's bug produces."""
+    from jsonld_js_ray.core.canonize import canonize
+
+    q1 = (("BlankNode", "_:b0"), ("NamedNode", "http://e/p"),
+          ("Literal", "x", "http://www.w3.org/2001/XMLSchema#string",
+           None), ("DefaultGraph", ""))
+    q2 = (("BlankNode", "_:b0"), ("NamedNode", "http://e/q"),
+          ("BlankNode", "_:b1"), ("DefaultGraph", ""))
+    assert canonize([q1, q2, q1]) == canonize([q1, q2])
+    # unhashable datatype term (the fork's ['@list'] artifact)
+    q3 = (("BlankNode", "_:b0"), ("NamedNode", "http://e/r"),
+          ("Literal", "true", ["@list"], None), ("DefaultGraph", ""))
+    assert canonize([q1, q3, q3]) == canonize([q1, q3])
