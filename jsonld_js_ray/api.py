@@ -439,10 +439,6 @@ def unregister_rdf_parser(content_type: str) -> None:
     _rdf_parsers.pop(content_type, None)
 
 
-def get_rdf_parser(content_type: str) -> Any:
-    return _rdf_parsers.get(content_type)
-
-
 register_rdf_parser("application/n-quads", _nq.parse)
 register_rdf_parser("application/nquads", _nq.parse)
 

@@ -24,8 +24,6 @@ from .util import IdentifierIssuer, js_sorted
 # able to hang a cluster worker; rdf-canonize grew the same guard.
 DEFAULT_MAX_WORK = 500_000
 
-_POSITIONS = ("s", "o", "g")
-
 
 def _sha256(s: str) -> str:
     return hashlib.sha256(s.encode("utf-8")).hexdigest()

@@ -34,10 +34,3 @@ class JsonLdError(Exception):
         self.name = name
         self.code = code
         self.details = details or {}
-
-
-class JsonLdSyntaxError(JsonLdError):
-    def __init__(self, message: str, code: str | None = None,
-                 details: dict[str, Any] | None = None) -> None:
-        super().__init__(message, name="jsonld.SyntaxError", code=code,
-                         details=details)

@@ -41,10 +41,6 @@ def is_potential_keyword(v: Any) -> bool:
     return rest.isalpha()
 
 
-def is_bool(v: Any) -> bool:
-    return isinstance(v, bool)
-
-
 def is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 

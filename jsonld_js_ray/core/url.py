@@ -186,7 +186,3 @@ def is_absolute(v: object) -> bool:
     Memoized: pipeline IRIs come from small vocabularies, so the regex
     runs once per distinct string."""
     return isinstance(v, str) and _is_absolute_cached(v)
-
-
-def is_relative(v: object) -> bool:
-    return isinstance(v, str)

@@ -12,8 +12,8 @@ Two-phase aggregation (SURVEY.md §4.3 skew row):
   phase B  groupby(surface) over the ~S·|vocab| partials — a tiny,
            skew-free shuffle.
 
-Near-dup merge — fully distributed, no driver-side vocabulary
-materialization:
+Near-dup merge — blocking and verification distributed, clustering on
+the driver:
 
   1. character-3-gram MinHash (crc32-based permutations —
      process-stable, unlike Python's salted hash()) → LSH band explode
@@ -21,19 +21,14 @@ materialization:
   2. ``groupby(band_id, band_hash)`` — IN-BUCKET Jaccard verification
      (the surfaces are the group rows, so no text fetch) → verified
      edge Dataset;
-  3. bounded-round min-label propagation over the edge graph: each
-     round is a bucketed hash-join (edges ⋈ labels on src) + a
-     ``groupby(node).aggregate(Min)`` — connected components with the
-     lexicographic-min surface as the canonical label.  Convergence is
-     detected with a per-round label checksum (a scalar aggregate);
-     rounds are capped at ``max_rounds`` (label needs diameter hops).
+  3. ``build_canonical_mapping``: an O(|verified edges|) union-find on
+     the driver — connected components with the lexicographic-min
+     surface as the canonical label, exact for any chain length.
 
-Only scalars (checksums) and Dataset handles touch the driver; every
-per-row structure stays in the object store.
-
-The broadcast mapping the pipeline links against
-(``build_canonical_mapping``) shares steps 1–2 and closes the verified
-edges with a driver-side union-find instead of step 3.
+The surface → canonical dict is the broadcast small side of the
+pipeline's phase 2, so it is vocabulary-sized on the driver by design;
+``canonicalize_entities`` reads it back onto the stats rows through one
+``ray.put``.
 """
 
 from __future__ import annotations
@@ -47,20 +42,9 @@ NUM_PERMS = 64
 BANDS = 16          # 16 bands × 4 rows
 ROWS_PER_BAND = NUM_PERMS // BANDS
 DEFAULT_SALTS = 16
-JOIN_BUCKETS = 32   # label-propagation hash-join fan-out
-MAX_ROUNDS = 10
 
 
 # --- hashing, MinHash and union-find primitives ---
-
-def _hash64(values: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix of int64 keys (splitmix64 finalizer),
-    used by the label checksum."""
-    x = values.astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
 
 # multiply-shift permutation family: h_p(x) = (A_p·x + B_p) mod 2^64
 # with A_p a random ODD 64-bit multiplier and x a 64-bit shingle hash.
@@ -80,8 +64,7 @@ _MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
 def _hashed_strings(vals: list) -> np.ndarray:
     """Vectorized process-stable 64-bit hashes of a list of strings
     (pandas hash_array: siphash with a fixed key — C speed, no per-row
-    Python hashing). Shingles, bucket keys and label checksums all
-    hash through it."""
+    Python hashing). The MinHash shingles hash through it."""
     import pandas as pd
 
     if not vals:
@@ -236,7 +219,7 @@ MAX_BUCKET_MEMBERS = 142     # ~MAX_PAIRS_PER_BUCKET verification pairs
 
 def _bucket_edges(g, threshold: float, strict: bool = False):
     """One LSH bucket's surfaces → verified SYMMETRIC edges (src, dst)
-    for label propagation. Verification is IN-BUCKET: both strings are
+    for the union-find closure. Verification is IN-BUCKET: both strings are
     group rows, no driver fetch. Returns a TYPED arrow table so every
     downstream block is arrow (mixed block types break Ray's sort).
     Degenerate buckets are capped — warned, or raised under ``strict``
@@ -280,268 +263,10 @@ def verified_edges(stats, threshold: float = 0.6,
         Count(alias_name="_n")).drop_columns(["_n"])
 
 
-# --- bounded min-label propagation (distributed connected components) ---
+# --- clustering: union-find closure of the verified edges ---
 
-def _bucketed(ds, col: str, num_buckets: int):
-    def add_bucket(batch: pa.Table, _col=col) -> pa.Table:
-        import numpy as np
-
-        vals = batch[_col].to_pylist()
-        buckets = (_hashed_strings(vals)
-                   % np.uint64(num_buckets)).astype(np.int32)
-        return batch.append_column("bucket", pa.array(buckets, pa.int32()))
-    return ds.map_batches(add_bucket, batch_format="pyarrow")
-
-
-# block-coalescing target for _pin: downstream map stages schedule one
-# task per block (~8 ms dispatch each), so a toy-scale artifact carrying
-# the read's 64-way split costs ~0.5 s of pure scheduling PER consuming
-# stage (and per superstep round). Coalescing is applied only when it
-# at least halves the block count, so real-scale datasets (blocks
-# already >= the target) pass through untouched — scale-neutral.
-_PIN_TARGET_ROWS = 65536
-
-
-def _concat_blocks(*tables):
-    import pyarrow as pa
-
-    # a dataset can carry empty blocks whose schema is EMPTY (Ray
-    # warns "RefBundle with a different schema"); zero-row tables add
-    # nothing and would fail the schema-equality concat precondition
-    real = [t for t in tables if t.num_rows]
-    if not real:
-        return tables[0]
-    if len(real) == 1:
-        return real[0]
-    return pa.concat_tables(real, promote_options="default")
-
-
-# decorated lazily so importing this module never requires a live Ray
-# context; resolved once per process
-_concat_blocks_remote = None
-
-
-def _get_concat_remote():
-    global _concat_blocks_remote
-    if _concat_blocks_remote is None:
-        import ray
-
-        _concat_blocks_remote = ray.remote(num_cpus=0.5)(_concat_blocks)
-    return _concat_blocks_remote
-
-
-def _pin(ds):
-    """Execute ``ds`` and rebuild a FRESH dataset from the executed
-    block refs — a hard lineage cut. ``materialize()`` alone is not
-    enough inside an iterative loop: deriving new plans (union/groupby)
-    from a MaterializedDataset can re-plan from its ORIGINAL logical
-    plan, so each round re-executes all previous rounds (~3× slower per
-    round, measured; 10 rounds ≈ minutes).
-
-    Tiny blocks are COALESCED toward ~_PIN_TARGET_ROWS rows per block
-    (split/merge repartition — no hash exchange, and only on data small
-    enough for the move to be free) so pinned artifacts and per-round
-    frontier datasets don't impose a 64-tiny-task schedule on every
-    consuming stage."""
-    import ray.data as rd
-
-    m = ds.materialize()
-    refs = m.to_arrow_refs()
-    if len(refs) > 1:
-        target = max(1, min(len(refs),
-                            -(-m.count() // _PIN_TARGET_ROWS)))
-        # coalesce only when it meaningfully cuts the task count: a
-        # 2→1 move saves one dispatch but costs a concat wave
-        if target <= len(refs) // 2 and len(refs) - target >= 4:
-            # one concat-task wave over the block refs — NOT a
-            # Dataset.repartition: that would be a second full dataset
-            # job per pin (measured +0.3-0.5 s per superstep round),
-            # and deriving it from the MaterializedDataset is the
-            # re-plan hazard documented above. Raw tasks are justified
-            # here: the Dataset API cannot express "merge these
-            # already-executed blocks without a new job".
-            import numpy as _np
-            remote_fn = _get_concat_remote()
-            groups = _np.array_split(_np.arange(len(refs)), target)
-            refs = [remote_fn.remote(*(refs[int(i)] for i in g))
-                    for g in groups if len(g)]
-    return rd.from_arrow_refs(refs)
-
-
-def _label_checksum(labels) -> int:
-    """Order-independent scalar fingerprint of a (node, label) Dataset —
-    the per-round convergence probe (a tiny aggregate, not a download).
-
-    Vectorized 64-bit per-row hashes (siphash node ^ mixed siphash
-    label, then one more splitmix64 pass), summed mod 2^64 — a collision
-    between two differing label states needs a 2^-64 event, vs the old
-    per-row crc32 sum (32-bit, and per-row Python)."""
-    def partial(batch: pa.Table) -> pa.Table:
-        hn = _hashed_strings(batch["node"].to_pylist())
-        hl = _hashed_strings(batch["label"].to_pylist())
-        comb = _hash64(hn ^ _hash64(hl))
-        total = comb.sum(dtype=np.uint64)      # wraps mod 2^64
-        return pa.table({"h": pa.array([np.uint64(total).astype(np.int64)],
-                                       pa.int64())})
-
-    # one row per block — tiny; wrap-sum on the driver keeps 64-bit
-    # modular arithmetic exact (Arrow Sum would overflow int64)
-    parts = labels.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return int(parts["h"].to_numpy().view(np.uint64).sum(dtype=np.uint64))
-
-
-def propagate_min_labels(nodes, edges, max_rounds: int = MAX_ROUNDS,
-                         num_buckets: int = JOIN_BUCKETS):
-    """nodes: Dataset with column ``node``; edges: symmetric Dataset
-    (src, dst). → Dataset (node, label) where label = min node in the
-    connected component.
-
-    Each round: bucketed hash-join (edges ⋈ labels ON src) pushes every
-    node's current label to its neighbours, then
-    ``groupby(node).aggregate(Min)`` takes the best seen. Min-label needs
-    ``diameter`` rounds; rounds are capped and convergence is detected by
-    an order-independent checksum (scalar per round)."""
-    import warnings
-
-    import pandas as pd
-    from ray.data.aggregate import Min
-
-    def init_labels(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"],
-                         "label": batch["node"]})
-
-    labels = _pin(nodes.map_batches(init_labels,
-                                    batch_format="pyarrow"))
-    # pin the edge pipeline: count() + the bucketing below would
-    # otherwise re-execute the banding + in-bucket verification twice
-    edges = _pin(edges)
-    if edges.count() == 0:
-        return labels
-
-    def tag(side: str):
-        def fn(batch: pa.Table, _s=side) -> pa.Table:
-            return batch.append_column(
-                "side", pa.array([_s] * batch.num_rows, pa.string()))
-        return fn
-
-    edges_tagged = _pin(_bucketed(edges, "src", num_buckets).map_batches(
-        tag("E"), batch_format="pyarrow"))
-
-    def join_bucket(g: pd.DataFrame):
-        e = g[g["side"] == "E"]
-        l = g[g["side"] == "L"]
-        if e.empty or l.empty:
-            return pa.table({"node": pa.array([], pa.string()),
-                             "label": pa.array([], pa.string())})
-        m = e[["src", "dst"]].merge(
-            l[["node", "label"]], left_on="src", right_on="node")
-        return pa.table({"node": pa.array(m["dst"], pa.string()),
-                         "label": pa.array(m["label"], pa.string())})
-
-    prev_sum = _label_checksum(labels)
-    for _round in range(max_rounds):
-        labels_tagged = _bucketed(labels, "node", num_buckets) \
-            .map_batches(tag("L"), batch_format="pyarrow")
-        # schema-align for union: E rows carry (src, dst), L rows
-        # carry (node, label); pad each side with the other's columns
-        def pad_e(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return batch.append_column(
-                "node", pa.array([None] * n, pa.string())).append_column(
-                "label", pa.array([None] * n, pa.string()))
-
-        def pad_l(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return batch.append_column(
-                "src", pa.array([None] * n, pa.string())).append_column(
-                "dst", pa.array([None] * n, pa.string()))
-
-        unioned = edges_tagged.map_batches(
-            pad_e, batch_format="pyarrow").union(
-            labels_tagged.map_batches(pad_l, batch_format="pyarrow"))
-        pushed = unioned.groupby("bucket").map_groups(
-            join_bucket, batch_format="pandas")
-        # repartition to a CONSTANT block count: union concatenates
-        # block lists and groupby partitions by input blocks, so
-        # without this the block count doubles per round (2^rounds
-        # tasks — measured exponential slowdown)
-        labels = _pin(labels.union(pushed).groupby("node").aggregate(
-            Min("label", alias_name="label")).repartition(num_buckets))
-        cur_sum = _label_checksum(labels)
-        if cur_sum == prev_sum:
-            return labels
-        prev_sum = cur_sum
-    warnings.warn(
-        f"min-label propagation hit max_rounds={max_rounds} without "
-        f"converging (cluster diameter > rounds); labels may be "
-        f"partially merged")
-    return labels
-
-
-def canonicalize_entities(mentions, threshold: float = 0.6,
-                          num_salts: int = DEFAULT_SALTS,
-                          strict_caps: bool = False):
-    """mentions Dataset → (surface, n_mentions, canonical) Dataset.
-
-    End-to-end distributed: salted two-phase count → band explode →
-    in-bucket verified edges → bounded min-label propagation → bucketed
-    join of labels back onto the stats rows. No vocabulary-sized
-    structure ever reaches the driver."""
-    import pandas as pd
-
-    stats = surface_stats(mentions, num_salts).materialize()
-    edges = verified_edges(stats, threshold, strict_caps=strict_caps)
-
-    def as_nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["surface"]})
-
-    nodes = stats.map_batches(as_nodes, batch_format="pyarrow")
-    labels = propagate_min_labels(nodes, edges)
-
-    # final vocab-sized join: stats ⋈ labels ON surface == node, bucketed
-    def stats_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "surface": batch["surface"],
-            "n_mentions": batch["n_mentions"].cast(pa.int64()),
-            "label": pa.array([None] * n, pa.string()),
-            "side": pa.array(["S"] * n, pa.string()),
-        })
-
-    def label_rows(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "surface": batch["node"],
-            "n_mentions": pa.array([0] * n, pa.int64()),
-            "label": batch["label"],
-            "side": pa.array(["L"] * n, pa.string()),
-        })
-
-    unioned = _bucketed(
-        stats.map_batches(stats_rows, batch_format="pyarrow").union(
-            labels.map_batches(label_rows, batch_format="pyarrow")),
-        "surface", JOIN_BUCKETS)
-
-    def join_canonical(g: pd.DataFrame):
-        s = g[g["side"] == "S"]
-        l = g[g["side"] == "L"][["surface", "label"]]
-        m = s[["surface", "n_mentions"]].merge(l, on="surface",
-                                               how="left")
-        return pa.table({
-            "surface": pa.array(m["surface"], pa.string()),
-            "n_mentions": pa.array(
-                m["n_mentions"].astype("int64"), pa.int64()),
-            "canonical": pa.array(
-                m["label"].fillna(m["surface"]), pa.string()),
-        })
-
-    return unioned.groupby("bucket").map_groups(
-        join_canonical, batch_format="pandas")
-
-
-# --- small-vocab broadcast mapping (kg.build_entity_mapping) ---
-
-def build_canonical_mapping(stats, threshold: float = 0.6) -> dict[str, str]:
+def build_canonical_mapping(stats, threshold: float = 0.6,
+                            strict_caps: bool = False) -> dict[str, str]:
     """Aggregated surface Dataset (``surface_stats`` output) → surface →
     canonical dict (min of its near-dup cluster): the broadcast small
     side of ``pipelines.kg.build_entity_mapping``, which must become one
@@ -549,12 +274,10 @@ def build_canonical_mapping(stats, threshold: float = 0.6) -> dict[str, str]:
     by design. Banding + in-bucket verification stay distributed
     (``verified_edges``); the driver sees only the vocab keys and the
     dup-density-bounded verified EDGE list, then runs an O(|edges|)
-    union-find (exact transitive closure — unlike the round-capped
-    label propagation in ``canonicalize_entities``, which warns if a
-    chain exceeds MAX_ROUNDS hops; the two agree whenever propagation
-    converges). Keys come in ``stats`` row order."""
+    union-find: the exact transitive closure, however long a chain.
+    Keys come in ``stats`` row order."""
     stats = stats.materialize()          # read twice: edges + vocab
-    edges = verified_edges(stats, threshold).to_pandas()
+    edges = verified_edges(stats, threshold, strict_caps).to_pandas()
     surfaces = stats.select_columns(["surface"]).to_pandas()["surface"]
 
     uf = _UnionFind()
@@ -563,6 +286,38 @@ def build_canonical_mapping(stats, threshold: float = 0.6) -> dict[str, str]:
     for a, b in zip(edges.get("src", []), edges.get("dst", [])):
         uf.union(a, b)
     return uf.cluster_map()
+
+
+def _add_canonical(batch: pa.Table, mapping_ref) -> pa.Table:
+    import ray
+
+    mapping = ray.get(mapping_ref)
+    return pa.table({
+        "surface": batch["surface"],
+        "n_mentions": batch["n_mentions"].cast(pa.int64()),
+        "canonical": pa.array(
+            [mapping[s] for s in batch["surface"].to_pylist()], pa.string()),
+    })
+
+
+def canonicalize_entities(mentions, threshold: float = 0.6,
+                          num_salts: int = DEFAULT_SALTS,
+                          strict_caps: bool = False):
+    """mentions Dataset → (surface, n_mentions, canonical) Dataset.
+
+    Salted two-phase count → ``build_canonical_mapping`` (distributed
+    banding and verification, union-find closure on the driver) → one
+    map over the stats rows reading the mapping through a single
+    ``ray.put``, as ``pipelines.kg.assemble_docs`` does."""
+    import functools
+
+    import ray
+
+    stats = surface_stats(mentions, num_salts).materialize()
+    mapping = build_canonical_mapping(stats, threshold, strict_caps)
+    return stats.map_batches(
+        functools.partial(_add_canonical, mapping_ref=ray.put(mapping)),
+        batch_format="pyarrow")
 
 
 # --- construction-based oracles (driver CORRECTNESS gate) ---

@@ -1,7 +1,8 @@
 """The driver registry in ``__ray_entry__``: every oracle names a
 registered query, every query has an oracle, and no query wrapper or
-oracle builder is left orphaned. Needs no Ray session: only the two
-registry dicts are built and the module source is parsed."""
+oracle builder is left orphaned; and no top-level name in the package
+is left without a reference. Needs no Ray session: only the two
+registry dicts are built and module sources are parsed."""
 
 from __future__ import annotations
 
@@ -30,3 +31,55 @@ def test_no_orphaned_wrapper_or_oracle_builder():
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert defined, "no wrappers found: the AST walk is broken"
     assert sorted(defined - used) == []
+
+
+REPO = Path(E.__file__).resolve().parent
+REFERENCE_ROOTS = ["jsonld_js_ray", "tests", "tools", "kgbench",
+                   "__ray_entry__.py", "bench.py"]
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                names.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    used: set[str] = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name.rsplit(".", 1)[-1])
+    return used
+
+
+def test_no_unreferenced_top_level_name_in_the_package():
+    """Every top-level def, class and assigned name in ``jsonld_js_ray``
+    is loaded, reached as an attribute or imported somewhere in the
+    package, tests, tools, kgbench or the two entry scripts; a
+    definition alone does not count. Dead code fails here."""
+    files: list[Path] = []
+    for root in REFERENCE_ROOTS:
+        path = REPO / root
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
+    trees = {f: ast.parse(f.read_text(), filename=str(f)) for f in files}
+    used = set().union(*map(_referenced_names, trees.values()))
+    package = REPO / "jsonld_js_ray"
+    defined = {f"{f.relative_to(REPO)}:{name}"
+               for f, tree in trees.items() if f.is_relative_to(package)
+               for name in _top_level_names(tree)}
+    assert len(defined) > 100, "too few names: the AST walk is broken"
+    assert sorted(d for d in defined if d.rsplit(":", 1)[1] not in used) \
+        == []
