@@ -10,12 +10,18 @@ Stages (all lazy Ray Data; the streaming executor pipelines them):
                                               URDNA2015 per conversation
     → quad table (Arrow)                    — FIXTURES.md §2 schema
 
+The resumable sink runs the same stages with the shard id as an extra
+leading group key (``part_id``, from the read's file path) and ends in
+one ``write_parquet(partition_cols=["shard"])``.
+
 There is one path. ``build_quads(..., entity_mapping=None)`` is the
 flagship; an ``entity_mapping`` dict (surface → canonical surface, from
 the min-hash merge in ``build_entity_mapping``) adds one ``mentions``
 triple per turn and linked entity. ``run_kg_pipeline`` and
 ``run_full_kg_pipeline`` (entity mapping first) write either through
-the same resumable partitioned sink with lineage.
+the same resumable partitioned sink with lineage (``_run_shards``): ONE
+Ray execution over every pending events file per run, then one commit
+per shard (``state/checkpoint.py``).
 Never calls ray.init (driver owns the session).
 """
 
@@ -26,11 +32,16 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 import time
 from typing import Any
 
+import numpy as np
+import pyarrow as pa
+
 from ..rayutil import strip_meta as _strip_meta
 from ..stages.assemble import derive_and_assemble_events_group
+from ..stages.to_rdf_stage import to_rdf_task_fn
 from ..state import checkpoint as ckpt
 
 
@@ -42,25 +53,39 @@ def _event_files(sf_dir: str) -> list[str]:
     return files
 
 
-def assemble_docs(sf_dir: str, files: list[str] | None = None,
-                  entity_mapping: dict | None = None):
-    """events parquet → (conv_id, n_turns, doc_json) Dataset.
+_EVENT_COLS = ["event_id", "ts", "user_id", "event_type", "props"]
 
-    ``entity_mapping`` (see ``build_quads``) is broadcast once with
-    ray.put and read per task — never re-shipped per batch."""
-    import ray.data as rd
 
-    paths = files or _event_files(sf_dir)
-    events = rd.read_parquet(
-        paths, columns=["event_id", "ts", "user_id", "event_type", "props"]
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
+def _assemble_fn(entity_mapping: dict | None):
+    """The per-user assembly UDF. ``entity_mapping`` is broadcast once
+    with ray.put and read per task — never re-shipped per batch."""
     fn = derive_and_assemble_events_group
     if entity_mapping is not None:
         import ray
 
         fn = functools.partial(fn, mapping_ref=ray.put(entity_mapping))
-    return events.groupby("user_id").map_groups(fn, batch_format="pyarrow")
+    return fn
+
+
+def _to_rdf_kwargs(batch_size: int, concurrency) -> dict[str, Any]:
+    kwargs: dict[str, Any] = {"batch_format": "pyarrow",
+                              "batch_size": batch_size}
+    if concurrency is not None:
+        kwargs["concurrency"] = concurrency
+    return kwargs
+
+
+def assemble_docs(sf_dir: str, files: list[str] | None = None,
+                  entity_mapping: dict | None = None):
+    """events parquet → (conv_id, n_turns, doc_json) Dataset."""
+    import ray.data as rd
+
+    events = rd.read_parquet(
+        files or _event_files(sf_dir), columns=_EVENT_COLS
+    ).map_batches(_strip_meta, batch_format="pyarrow",
+                  zero_copy_batch=True)
+    return events.groupby("user_id").map_groups(
+        _assemble_fn(entity_mapping), batch_format="pyarrow")
 
 
 def build_quads(sf_dir: str, files: list[str] | None = None,
@@ -84,61 +109,106 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     assembly) — moderate so a giant conversation cannot stall a block
     (SURVEY.md §4.3 stragglers row).
     """
-    from ..stages.to_rdf_stage import to_rdf_task_fn
-
     docs = assemble_docs(sf_dir, files, entity_mapping)
     fn = functools.partial(to_rdf_task_fn, skip_errors=skip_errors)
-    task_kwargs: dict[str, Any] = {"batch_format": "pyarrow",
-                                   "batch_size": batch_size}
-    if concurrency is not None:
-        task_kwargs["concurrency"] = concurrency
-    return docs.map_batches(fn, **task_kwargs)
+    return docs.map_batches(fn, **_to_rdf_kwargs(batch_size, concurrency))
 
 
-def _write_shard(quads, out_dir: str, shard_id: int, path: str,
-                 fp: str) -> "ckpt.ShardRecord":
-    """Write one shard's quad Dataset atomically with part_id provenance
-    and a lineage record whose ``input_fingerprint`` is ``fp``."""
-    t0 = time.perf_counter()
-    rec = ckpt.ShardRecord(
-        shard_id=shard_id, inputs=[path], input_fingerprint=fp,
-        rows=0, quads=0, wall_ms=0)
+# --- the resumable sink: one execution, per-shard commits -------------
 
-    def write(tmp_dir: str) -> None:
-        import pyarrow as pa
+def _tag_parts(t: pa.Table, part_of: dict[str, int]) -> pa.Table:
+    """Replace the read's ``path`` column by the file's int32 shard id
+    (``part_id``, the FIXTURES.md §2 provenance column)."""
+    paths = t["path"].combine_chunks().dictionary_encode()
+    ids = pa.array([part_of[os.path.abspath(p)]
+                    for p in paths.dictionary.to_pylist()], pa.int32())
+    return _strip_meta(t.drop_columns(["path"]).append_column(
+        "part_id", ids.take(paths.indices)))
 
-        def add_part(batch: pa.Table, _pid=shard_id) -> pa.Table:
-            # FIXTURES.md §2 provenance column
-            return batch.append_column(
-                "part_id", pa.array([_pid] * batch.num_rows, pa.int32()))
 
-        quads.map_batches(add_part, batch_format="pyarrow",
-                          zero_copy_batch=True).write_parquet(tmp_dir)
-        import pyarrow.parquet as pq
-        n = 0
-        for f in glob.glob(os.path.join(tmp_dir, "*.parquet")):
-            n += pq.ParquetFile(f).metadata.num_rows
-        rec.quads = n
-        rec.rows = n
-        rec.wall_ms = int((time.perf_counter() - t0) * 1000)
+def _assemble_part(group: pa.Table, fn) -> pa.Table:
+    """One (part_id, user_id) group → its doc rows, tagged with the
+    group's ``part_id``."""
+    docs = fn(group.drop_columns(["part_id"]))
+    return docs.append_column("part_id",
+                              pa.repeat(group["part_id"][0], docs.num_rows))
 
-    ckpt.write_shard_atomic(out_dir, shard_id, write, rec)
-    return rec
+
+def _to_rdf_parts(batch: pa.Table, skip_errors: bool) -> pa.Table:
+    """``to_rdf_task_fn`` over each run of docs with one ``part_id``;
+    every quad keeps its doc's ``part_id`` and gets the ``shard``
+    partition key (the zero-padded name ``ckpt.shard_data_dir`` uses).
+    Ray never hands a map UDF an empty batch."""
+    pids = batch["part_id"].to_numpy()
+    bounds = [0, *(np.flatnonzero(np.diff(pids)) + 1), len(pids)]
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        quads = to_rdf_task_fn(batch.slice(a, b - a), skip_errors)
+        n, pid = quads.num_rows, int(pids[a])
+        out.append(quads.append_column(
+            "part_id", pa.repeat(pa.scalar(pid, pa.int32()), n)
+        ).append_column("shard", pa.repeat(pa.scalar(f"{pid:05d}"), n)))
+    return pa.concat_tables(out)
+
+
+def _shard_quads(pending: dict[int, tuple[str, str]], *, batch_size: int,
+                 concurrency, entity_mapping: dict | None):
+    """One lazy Dataset over every pending events file: read with paths →
+    groupby(part_id, user_id) assembly → ToRdf. Grouping on the shard
+    too keeps each file's output what a per-file run gives: a user whose
+    events span two files yields one doc (same ``conv_id``) per file."""
+    import ray.data as rd
+
+    part_of = {os.path.abspath(path): sid
+               for sid, (path, _fp) in pending.items()}
+    events = rd.read_parquet(
+        list(part_of), columns=_EVENT_COLS, include_paths=True
+    ).map_batches(functools.partial(_tag_parts, part_of=part_of),
+                  batch_format="pyarrow", zero_copy_batch=True)
+    docs = events.groupby(["part_id", "user_id"]).map_groups(
+        functools.partial(_assemble_part,
+                          fn=_assemble_fn(entity_mapping)),
+        batch_format="pyarrow")
+    return docs.map_batches(
+        functools.partial(_to_rdf_parts, skip_errors=True),
+        **_to_rdf_kwargs(batch_size, concurrency))
+
+
+def _move_parts(src: str, rec: "ckpt.ShardRecord", tmp_dir: str) -> None:
+    """Commit step of one shard: move its parts from the run's output
+    into ``tmp_dir``; record each part and count the quads from the
+    Parquet footers."""
+    import pyarrow.parquet as pq
+
+    names = sorted(os.listdir(src)) if os.path.isdir(src) else []
+    for name in names:
+        dst = os.path.join(tmp_dir, name)
+        os.rename(os.path.join(src, name), dst)
+        rows = pq.read_metadata(dst).num_rows
+        rec.parts.append((name, rows, os.path.getsize(dst)))
+    rec.quads = rec.rows = sum(p[1] for p in rec.parts)
 
 
 def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
                 batch_size: int, resume: bool,
                 concurrency: int | None = None,
                 entity_mapping: dict | None = None) -> dict:
-    """The shard loop both runners share. Shard = one input events file
+    """The sink both runners share. Shard = one input events file
     (resume unit; 100 TB inputs are many files), written to
-    ``out_dir/shard=N/part-*.parquet`` with per-shard lineage JSON.
+    ``out_dir/shard=N/*.parquet`` with per-shard lineage JSON.
 
     A shard is skipped on resume only when its manifest fingerprint
-    matches. With an ``entity_mapping`` the fingerprint also covers a
-    digest of the mapping, so outputs with and without mention quads
-    (or from different mappings) never satisfy each other; the flagship
-    fingerprint is the bare input fingerprint."""
+    matches and its recorded parts are intact. With an
+    ``entity_mapping`` the fingerprint also covers a digest of the
+    mapping, so outputs with and without mention quads (or from
+    different mappings) never satisfy each other; the flagship
+    fingerprint is the bare input fingerprint.
+
+    Every pending shard is computed by ONE Ray execution
+    (``_shard_quads`` → ``write_parquet(partition_cols=["shard"])`` into
+    a run temp dir); then each shard is committed through
+    ``ckpt.write_shard_atomic``. ``wall_ms`` (of the metrics and of
+    each committed record) is that execution's wall."""
     os.makedirs(out_dir, exist_ok=True)
     ckpt.reconcile_shards(out_dir, len(files))
     metrics = {"shards_total": len(files), "shards_skipped": 0,
@@ -147,6 +217,7 @@ def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
         hashlib.sha256(json.dumps(entity_mapping, sort_keys=True)
                        .encode()).hexdigest()
 
+    pending: dict[int, tuple[str, str]] = {}
     for shard_id, path in enumerate(files):
         fp = ckpt.fingerprint_inputs([path])
         if mapping_digest is not None:
@@ -154,13 +225,32 @@ def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
                 f"{fp}|{mapping_digest}".encode()).hexdigest()[:16]
         if resume and ckpt.is_shard_done(out_dir, shard_id, fp):
             metrics["shards_skipped"] += 1
-            continue
-        quads = build_quads(sf_dir, files=[path], concurrency=concurrency,
-                            batch_size=batch_size, skip_errors=True,
-                            entity_mapping=entity_mapping)
-        rec = _write_shard(quads, out_dir, shard_id, path, fp)
-        metrics["quads"] += rec.quads
-        metrics["wall_ms"] += rec.wall_ms
+        else:
+            pending[shard_id] = (path, fp)
+    if not pending:
+        return metrics
+
+    run_tmp = ckpt.temp_dir(out_dir, "run")
+    try:
+        t0 = time.perf_counter()
+        _shard_quads(pending, batch_size=batch_size,
+                     concurrency=concurrency,
+                     entity_mapping=entity_mapping,
+                     ).write_parquet(run_tmp, partition_cols=["shard"])
+        metrics["wall_ms"] = int((time.perf_counter() - t0) * 1000)
+        for shard_id, (path, fp) in pending.items():
+            rec = ckpt.ShardRecord(
+                shard_id=shard_id, inputs=[path], input_fingerprint=fp,
+                rows=0, quads=0, wall_ms=metrics["wall_ms"])
+            ckpt.write_shard_atomic(
+                out_dir, shard_id,
+                functools.partial(_move_parts,
+                                  ckpt.shard_data_dir(run_tmp, shard_id),
+                                  rec),
+                rec)
+            metrics["quads"] += rec.quads
+    finally:
+        shutil.rmtree(run_tmp, ignore_errors=True)
     return metrics
 
 
@@ -260,12 +350,13 @@ def run_full_kg_pipeline(sf_dir: str, out_dir: str,
     phase 1  entity canonicalization (min-hash + exact merge, salted) —
              its mapping is itself checkpointed to out_dir, and reused
              only for the same inputs and ``threshold``;
-    phase 2  the flagship shard loop with ``entity_mapping=mapping``:
-             derive turns → mention linking against the broadcast
-             mapping → JSON-LD docs → expand → toRDF → URDNA2015 →
-             partitioned Parquet quads + lineage.
+    phase 2  the flagship sink (``_run_shards``) with
+             ``entity_mapping=mapping``: derive turns → mention linking
+             against the broadcast mapping → JSON-LD docs → expand →
+             toRDF → URDNA2015 → partitioned Parquet quads + lineage.
 
-    Returns metrics incl. triples/sec per shard.
+    Returns the sink's metrics plus entity counts and
+    ``triples_per_sec`` over the run's one execution.
     """
     files = _event_files(sf_dir)
     os.makedirs(out_dir, exist_ok=True)

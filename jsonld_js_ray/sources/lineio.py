@@ -33,11 +33,13 @@ written lines derive from), a ``_manifest/write.manifest`` (JSON
 content; see _write_manifest_path for why not ``.json``) records
 ``{inputs, input_fingerprint, parts: [(name, rows, bytes)], rows,
 wall_ms}`` after the write completes, installed atomically
-(tmp+rename). A re-run with the SAME input fingerprint whose recorded
-parts are all present at their recorded sizes SKIPS the write
-entirely; any mismatch rewrites from scratch. ``on_write_start``
-deletes the manifest BEFORE clearing parts, so a write killed midway
-can never leave a "complete" manifest over torn output.
+(tmp+rename, ``checkpoint.write_json_atomic``). A re-run with the SAME
+input fingerprint whose recorded parts are all present at their
+recorded sizes (``checkpoint.parts_intact``, the check the Parquet
+shards use) SKIPS the write entirely; any mismatch rewrites from
+scratch. ``on_write_start`` deletes the manifest BEFORE clearing
+parts, so a write killed midway can never leave a "complete" manifest
+over torn output.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ import pyarrow as pa
 from ray.data import Datasink
 from ray.data.datasource.datasink import WriteResult
 
-from ..state.checkpoint import fingerprint_inputs
+from ..state.checkpoint import (fingerprint_inputs, parts_intact,
+                                write_json_atomic)
 
 
 def _write_manifest_path(out_dir: str) -> str:
@@ -67,17 +70,6 @@ def read_write_manifest(out_dir: str) -> dict | None:
             return json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
-
-
-def _parts_intact(out_dir: str, manifest: dict) -> bool:
-    for name, _rows, nbytes in manifest.get("parts", []):
-        p = os.path.join(out_dir, name)
-        try:
-            if os.stat(p).st_size != nbytes:
-                return False
-        except OSError:
-            return False
-    return True
 
 
 class _LineShardDatasink(Datasink):
@@ -159,7 +151,7 @@ def write_line_shards(lines_ds, out_dir: str, ext: str,
     if fp is not None:
         prior = read_write_manifest(out_dir)
         if prior and prior.get("input_fingerprint") == fp \
-                and _parts_intact(out_dir, prior):
+                and parts_intact(out_dir, prior.get("parts", [])):
             return pd.DataFrame({
                 "path": [os.path.join(out_dir, p[0])
                          for p in prior["parts"]],
@@ -179,12 +171,7 @@ def write_line_shards(lines_ds, out_dir: str, ext: str,
             "rows": int(sum(r[1] for r in rows)),
             "wall_ms": int((time.time() - t0) * 1000),
         }
-        mpath = _write_manifest_path(out_dir)
-        os.makedirs(os.path.dirname(mpath), exist_ok=True)
-        tmp = mpath + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(record, f, indent=1)
-        os.replace(tmp, mpath)
+        write_json_atomic(_write_manifest_path(out_dir), record)
     return pd.DataFrame({
         "path": [r[0] for r in rows],
         count_col: [r[1] for r in rows],

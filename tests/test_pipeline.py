@@ -8,7 +8,10 @@ IRI.
 
 from __future__ import annotations
 
+import glob
 import json
+import os
+from collections import Counter
 
 import pyarrow as pa
 import pytest
@@ -107,9 +110,142 @@ def test_resume_skips_completed_shards(ray_session, sf_dir, tmp_path):
     assert len(manifest) == m1["shards_total"]
     assert all(rec["quads"] > 0 and rec["input_fingerprint"]
                for rec in manifest)
+    assert m1["quads"] == sum(rec["quads"] for rec in manifest)
+    for rec in manifest:
+        shard = os.path.join(out, f"shard={rec['shard_id']:05d}")
+        assert rec["parts"]
+        assert rec["quads"] == sum(rows for _n, rows, _b in rec["parts"])
+        for name, _rows, nbytes in rec["parts"]:
+            assert os.path.getsize(os.path.join(shard, name)) == nbytes
     m2 = run_kg_pipeline(sf_dir, out, concurrency=2)
     assert m2["shards_skipped"] == m2["shards_total"]
     assert m2["quads"] == 0
+
+
+QUAD_COLS = ["subj", "pred", "obj_kind", "obj_value", "obj_datatype",
+             "obj_lang", "graph", "conv_id"]
+
+
+def _quad_multiset(tables) -> Counter:
+    got: Counter = Counter()
+    for t in tables:
+        got.update(zip(*(t[c].to_pylist() for c in QUAD_COLS)))
+    return got
+
+
+def _sink_multiset(out_dir: str) -> Counter:
+    import pyarrow.parquet as pq
+
+    return _quad_multiset(
+        pq.read_table(f)
+        for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet")))
+
+
+@pytest.fixture(scope="module")
+def split_sf_dir(tmp_path_factory, sf_dir) -> str:
+    """sf0.001's events cut into three files by row range, so some
+    users' events span two files."""
+    import pyarrow.parquet as pq
+
+    events = pq.read_table(os.path.join(sf_dir, "events.parquet"))
+    root = tmp_path_factory.mktemp("split")
+    os.makedirs(root / "events")
+    cuts = [0, events.num_rows // 3, 2 * events.num_rows // 3,
+            events.num_rows]
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        pq.write_table(events.slice(a, b - a),
+                       str(root / "events" / f"part-{i}.parquet"))
+    return str(root)
+
+
+@pytest.fixture(scope="module")
+def split_expected(ray_session, split_sf_dir) -> Counter:
+    """Union of the per-file flagship quads: what the sink must hold."""
+    from jsonld_js_ray.pipelines.kg import _event_files, build_quads
+
+    return _quad_multiset(
+        pa.concat_tables(build_quads(split_sf_dir, files=[f]).iter_batches(
+            batch_format="pyarrow", batch_size=None))
+        for f in _event_files(split_sf_dir))
+
+
+def test_user_split_over_files_yields_one_doc_per_file(
+        ray_session, split_sf_dir, split_expected, tmp_path):
+    """The sink groups on (shard, user_id): a user whose events span two
+    files gets one document per file, both with the user's conv_id, and
+    the output is the union of per-file runs quad for quad."""
+    import pyarrow.parquet as pq
+
+    from jsonld_js_ray.pipelines.kg import _event_files, run_kg_pipeline
+
+    users = [set(pq.read_table(f, columns=["user_id"])["user_id"]
+                 .to_pylist()) for f in _event_files(split_sf_dir)]
+    assert users[0] & users[1]          # the fixture splits a user
+    out = str(tmp_path / "split")
+    m = run_kg_pipeline(split_sf_dir, out)
+    assert m["shards_total"] == 3 and m["shards_skipped"] == 0
+    got = _sink_multiset(out)
+    assert got == split_expected and m["quads"] == sum(got.values())
+
+    conv_parts = pq.read_table(
+        glob.glob(os.path.join(out, "shard=*", "*.parquet")),
+        columns=["pred", "conv_id", "part_id"]).to_pandas()
+    docs = conv_parts[conv_parts["pred"] == CONV_VOCAB + "hasTurn"] \
+        .groupby("conv_id")["part_id"].nunique()
+    assert (docs > 1).any()             # one conv_id, one doc per file
+
+
+def test_lost_part_redoes_exactly_its_shard(
+        ray_session, split_sf_dir, split_expected, tmp_path):
+    """A done shard whose part file was deleted is rewritten on the next
+    run; the other shards are skipped."""
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.state import checkpoint as ckpt
+
+    out = str(tmp_path / "lost")
+    run_kg_pipeline(split_sf_dir, out)
+    shard = ckpt.shard_data_dir(out, 1)
+    os.remove(os.path.join(shard, sorted(os.listdir(shard))[0]))
+    lost = sum(rec["quads"] for rec in ckpt.read_manifest(out)
+               if rec["shard_id"] == 1)
+    m = run_kg_pipeline(split_sf_dir, out)
+    assert m["shards_skipped"] == 2 and m["quads"] == lost
+    assert _sink_multiset(out) == split_expected
+
+
+def test_crash_between_shard_commits_resumes_the_rest(
+        ray_session, split_sf_dir, split_expected, tmp_path, monkeypatch):
+    """The commit of the second pending shard fails: the rerun skips the
+    committed shard, writes only the others, and leaves no temp dir."""
+    from jsonld_js_ray.pipelines.kg import run_kg_pipeline
+    from jsonld_js_ray.state import checkpoint as ckpt
+
+    out = str(tmp_path / "crash")
+    commit = ckpt.write_shard_atomic
+    calls = []
+
+    def flaky(out_dir, shard_id, write_fn, record):
+        calls.append(shard_id)
+        if len(calls) == 2:
+            raise RuntimeError("killed between commits")
+        return commit(out_dir, shard_id, write_fn, record)
+
+    monkeypatch.setattr(ckpt, "write_shard_atomic", flaky)
+    with pytest.raises(RuntimeError, match="between commits"):
+        run_kg_pipeline(split_sf_dir, out)
+    monkeypatch.setattr(ckpt, "write_shard_atomic", commit)
+    assert [r["shard_id"] for r in ckpt.read_manifest(out)] == [calls[0]]
+    # a hard-killed run's temp dir is cleared by the next run
+    os.makedirs(os.path.join(out, ".tmp-run-0-0", "shard=00002"))
+
+    m = run_kg_pipeline(split_sf_dir, out)
+    assert m["shards_skipped"] == 1
+    assert len(ckpt.read_manifest(out)) == 3
+    assert _sink_multiset(out) == split_expected
+    assert m["quads"] == sum(split_expected.values()) - \
+        ckpt.read_manifest(out)[calls[0]]["quads"]
+    assert not glob.glob(os.path.join(out, "**", ".tmp-*"),
+                         recursive=True)
 
 
 def test_bnode_labels_conv_scoped_and_canonical():
