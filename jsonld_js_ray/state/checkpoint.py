@@ -46,8 +46,6 @@ class ShardRecord:
     rows: int
     quads: int
     wall_ms: int
-    conv_min: str | None = None
-    conv_max: str | None = None
     # [(file name in the shard dir, rows, bytes)], from the part footers
     parts: list = field(default_factory=list)
 

@@ -2,8 +2,8 @@
 flatten (ctx / ctx-free), fromRdf (identical quad sets through both
 decoders, useNativeTypes x useRdfType matrix) and expand under
 processingMode json-ld-1.0 (mode-gating error parity). The big
-out-of-band ranges live in tools/fuzz_{flatten,fromrdf,mode10}_sweep
-.py; these committed legs keep the axes in the standing gate.
+out-of-band ranges are the flatten, fromrdf and mode10 axes of
+tools/fuzz.py; these committed legs keep the axes in the standing gate.
 """
 
 from __future__ import annotations
@@ -11,41 +11,18 @@ from __future__ import annotations
 import json
 import os
 import random
-import shutil
-import subprocess
 
 import pytest
 
 from jsonld_js_ray import api
 from jsonld_js_ray.core.errors import JsonLdError
 
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, SKIP_REASON, raw_crash, run
+
 N_DOCS = 100
 SEED0 = 700000   # disjoint from every other committed corpus
 
-pytestmark = pytest.mark.skipif(
-    shutil.which("node") is None or not os.path.isdir("/root/reference/lib"),
-    reason="reference oracle unavailable",
-)
-
-
-def _run_ref(reqs: list[dict]) -> list[dict]:
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-        input="\n".join(json.dumps(r) for r in reqs),
-        capture_output=True, text=True, timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")},
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return [json.loads(x) for x in proc.stdout.strip().split("\n")]
-
-
-def _ref_raw_crash(ref) -> bool:
-    return (not ref["ok"] and not ref.get("code")
-            and ("is not a function" in ref.get("error", "")
-                 or "Cannot read" in ref.get("error", "")
-                 or "of undefined" in ref.get("error", "")))
+pytestmark = pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 
 
 def _docs():
@@ -59,20 +36,20 @@ def test_flatten_parity():
     fz, docs = _docs()
     ctxs = [(fz._gen_context(random.Random((SEED0 + i) * 37 + 11))
              if i % 2 else None) for i in range(N_DOCS)]
-    results = _run_ref([{"op": "flatten", "input": d, "ctx": c}
+    results = run([{"op": "flatten", "input": d, "ctx": c}
                         for d, c in zip(docs, ctxs)])
     mismatches = []
     for i, (doc, ctx, ref) in enumerate(zip(docs, ctxs, results)):
         try:
             mine = api.flatten(json.loads(json.dumps(doc)),
                                json.loads(json.dumps(ctx)))
-            if _ref_raw_crash(ref):
+            if raw_crash(ref):
                 continue
             if not ref["ok"] or \
                     json.loads(json.dumps(mine)) != ref["result"]:
                 mismatches.append(i)
         except JsonLdError as e:
-            if _ref_raw_crash(ref):
+            if raw_crash(ref):
                 continue
             if ref["ok"] or (ref.get("code")
                              and e.code != ref["code"]):
@@ -97,7 +74,7 @@ def test_fromrdf_parity():
                      "input": [[term(t) for t in q] for q in quads],
                      "options": opts})
     assert len(cases) > N_DOCS // 2     # corpus stays mostly usable
-    results = _run_ref(reqs)
+    results = run(reqs)
     mismatches = []
     for (i, quads, opts), ref in zip(cases, results):
         try:
@@ -114,21 +91,21 @@ def test_fromrdf_parity():
 def test_expand_mode10_parity():
     _, docs = _docs()
     opts = {"processingMode": "json-ld-1.0"}
-    results = _run_ref([{"op": "expand", "input": d,
+    results = run([{"op": "expand", "input": d,
                          "options": dict(opts)} for d in docs])
     mismatches = []
     n_err = 0
     for i, (doc, ref) in enumerate(zip(docs, results)):
         try:
             mine = api.expand(json.loads(json.dumps(doc)), dict(opts))
-            if _ref_raw_crash(ref):
+            if raw_crash(ref):
                 continue
             if not ref["ok"] or \
                     json.loads(json.dumps(mine)) != ref["result"]:
                 mismatches.append(i)
         except JsonLdError as e:
             n_err += 1
-            if _ref_raw_crash(ref):
+            if raw_crash(ref):
                 continue
             if ref["ok"] or (ref.get("code")
                              and e.code != ref["code"]):

@@ -18,15 +18,12 @@ from __future__ import annotations
 import json
 import os
 import random
-import subprocess
 
 import pytest
 
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, SKIP_REASON, run
 
-pytestmark = pytest.mark.skipif(
-    not os.path.exists(os.path.join(HARNESS_DIR, "node_modules")),
-    reason="node refharness not available")
+pytestmark = pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 
 N_DOCS = 120
 
@@ -67,18 +64,9 @@ def test_linked_frame_parity_decycled():
     from jsonld_js_ray.core.errors import JsonLdError
 
     docs = [fz._gen_doc(200000 + i) for i in range(N_DOCS)]
-    reqs = [json.dumps({"op": "frameDecycled", "input": d,
-                        "frame": _gen_frame(300000 + i)})
-            for i, d in enumerate(docs)]
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-        input="\n".join(reqs), capture_output=True, text=True,
-        timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")})
-    assert proc.returncode == 0, proc.stderr[-1500:]
-    results = [json.loads(line)
-               for line in proc.stdout.strip().split("\n")]
+    results = run([{"op": "frameDecycled", "input": d,
+                    "frame": _gen_frame(300000 + i)}
+                   for i, d in enumerate(docs)])
 
     mismatches, ref_crashes = [], 0
     for i, d in enumerate(docs):

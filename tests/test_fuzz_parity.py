@@ -10,10 +10,7 @@ Catches interaction bugs the hand-written corpus misses.
 from __future__ import annotations
 
 import json
-import os
 import random
-import shutil
-import subprocess
 
 import pytest
 
@@ -21,14 +18,12 @@ from jsonld_js_ray import api
 from jsonld_js_ray.core import canonize as canonize_mod
 from jsonld_js_ray.core.errors import JsonLdError
 
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, SKIP_REASON, ref_quads, run
+
 N_DOCS = 250
 EX = "http://fz.example/"
 
-pytestmark = pytest.mark.skipif(
-    shutil.which("node") is None or not os.path.isdir("/root/reference/lib"),
-    reason="reference oracle unavailable",
-)
+pytestmark = pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 
 
 def _gen_context(rng: random.Random) -> dict:
@@ -168,27 +163,7 @@ def fuzz_results():
     for doc in docs:
         reqs.append({"op": "expand", "input": doc})
         reqs.append({"op": "toRdf", "input": doc})
-    lines = "\n".join(json.dumps(r) for r in reqs)
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-        input=lines, capture_output=True, text=True, timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")},
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    results = [json.loads(line)
-               for line in proc.stdout.strip().split("\n")]
-    return docs, results
-
-
-def _ref_quads_to_tuples(quads):
-    def term(t):
-        if t["termType"] == "Literal":
-            return ("Literal", t["value"], t["datatype"]["value"],
-                    t.get("language") or None)
-        return (t["termType"], t.get("value", ""))
-    return [(term(q["subject"]), term(q["predicate"]), term(q["object"]),
-             term(q["graph"])) for q in quads]
+    return docs, run(reqs)
 
 
 def test_fuzz_expand_parity(fuzz_results):
@@ -225,9 +200,8 @@ def test_fuzz_tordf_parity(fuzz_results):
             if not ref["ok"]:
                 mismatches.append((i, "engine-ok-ref-error", ref["error"]))
                 continue
-            ref_quads = _ref_quads_to_tuples(ref["result"])
             if canonize_mod.canonize(mine) != canonize_mod.canonize(
-                    ref_quads):
+                    ref_quads(ref["result"])):
                 mismatches.append((i, "quad-mismatch"))
         except JsonLdError as e:
             if ref["ok"]:

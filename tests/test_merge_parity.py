@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 
 import pytest
 
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, SKIP_REASON, run
 
-pytestmark = pytest.mark.skipif(
-    not os.path.exists(os.path.join(HARNESS_DIR, "node_modules")),
-    reason="node refharness not available")
+pytestmark = pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 
 N_PAIRS = 80
 
@@ -36,17 +33,8 @@ def test_merge_parity_guarded():
 
     pairs = [(fz._gen_doc(400000 + i), fz._gen_doc(450000 + i))
              for i in range(N_PAIRS)]
-    reqs = [json.dumps({"op": "mergeGuarded", "input": [a, b],
-                        "ctx": None}) for a, b in pairs]
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-        input="\n".join(reqs), capture_output=True, text=True,
-        timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")})
-    assert proc.returncode == 0, proc.stderr[-1200:]
-    results = [json.loads(line)
-               for line in proc.stdout.strip().split("\n")]
+    results = run([{"op": "mergeGuarded", "input": [a, b], "ctx": None}
+                   for a, b in pairs])
 
     mismatches = []
     for i, (a, b) in enumerate(pairs):

@@ -15,48 +15,25 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import subprocess
 
 import pytest
 
 from jsonld_js_ray.core import canonize as canonize_mod
 from jsonld_js_ray.stages.to_rdf_stage import ToRdfActor
 
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, SKIP_REASON, ref_quads, run
+
 REPORT_PATH = os.path.join(os.path.dirname(__file__), "..",
                            "PR_REPORT.json")
 
-pytestmark = pytest.mark.skipif(
-    shutil.which("node") is None or not os.path.isdir("/root/reference/lib"),
-    reason="reference oracle unavailable",
-)
+pytestmark = pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 
 
 def _ref_to_rdf_many(docs: list[dict]) -> list[list[tuple]]:
-    lines = "\n".join(
-        json.dumps({"op": "toRdf", "input": doc}) for doc in docs)
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-        input=lines, capture_output=True, text=True, timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")},
-    )
-    assert proc.returncode == 0, proc.stderr
     out = []
-    for line in proc.stdout.strip().split("\n"):
-        rec = json.loads(line)
+    for rec in run([{"op": "toRdf", "input": doc} for doc in docs]):
         assert rec["ok"], rec
-        quads = []
-        for q in rec["result"]:
-            def term(t):
-                if t["termType"] == "Literal":
-                    return ("Literal", t["value"], t["datatype"]["value"],
-                            t.get("language") or None)
-                return (t["termType"], t.get("value", ""))
-            quads.append((term(q["subject"]), term(q["predicate"]),
-                          term(q["object"]), term(q["graph"])))
-        out.append(quads)
+        out.append(ref_quads(rec["result"]))
     return out
 
 

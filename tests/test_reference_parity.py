@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import subprocess
 
 import pytest
 
@@ -26,17 +24,13 @@ from jsonld_js_ray.core import canonize as canonize_mod
 from jsonld_js_ray.core.errors import JsonLdError
 
 from parity_corpus import CASES
-
-HARNESS_DIR = os.path.join(os.path.dirname(__file__), "refharness")
+from reference_oracle import AVAILABLE, ref_quads, run
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_parity.json")
 
-_have_node = (shutil.which("node") is not None
-              and os.path.isdir("/root/reference/lib"))
-
 pytestmark = pytest.mark.skipif(
-    not _have_node and not os.path.exists(GOLDEN_PATH),
+    not AVAILABLE and not os.path.exists(GOLDEN_PATH),
     reason="neither live reference oracle nor golden snapshot available",
 )
 
@@ -45,33 +39,13 @@ pytestmark = pytest.mark.skipif(
 def reference_results() -> list[dict]:
     """Live node oracle when available; committed golden snapshot
     (tests/golden_parity.json) otherwise."""
-    if _have_node:
-        lines = "\n".join(json.dumps(c) for c in CASES)
-        proc = subprocess.run(
-            ["node", os.path.join(HARNESS_DIR, "ref_run.js")],
-            input=lines, capture_output=True, text=True, timeout=120,
-            env={**os.environ,
-                 "NODE_PATH": os.path.join(HARNESS_DIR, "node_modules")},
-        )
-        assert proc.returncode == 0, proc.stderr
-        return [json.loads(line)
-                for line in proc.stdout.strip().split("\n")]
+    if AVAILABLE:
+        return run(CASES, timeout=120)
     with open(GOLDEN_PATH) as f:
         golden = json.load(f)["results"]
     missing = [c["name"] for c in CASES if c["name"] not in golden]
     assert not missing, f"golden snapshot stale; missing: {missing[:5]}"
     return [golden[c["name"]] for c in CASES]
-
-
-def _ref_quads_to_tuples(quads: list[dict]) -> list[tuple]:
-    def term(t: dict) -> tuple:
-        if t["termType"] == "Literal":
-            return ("Literal", t["value"], t["datatype"]["value"],
-                    t.get("language") or None)
-        return (t["termType"], t.get("value", ""))
-
-    return [(term(q["subject"]), term(q["predicate"]), term(q["object"]),
-             term(q["graph"])) for q in quads]
 
 
 def _run_engine(case: dict):
@@ -113,8 +87,8 @@ def test_parity(idx: int, reference_results: list[dict]) -> None:
     mine = _run_engine(case)
 
     if case["op"] == "toRdf":
-        ref_quads = _ref_quads_to_tuples(ref["result"])
-        assert canonize_mod.canonize(mine) == canonize_mod.canonize(ref_quads)
+        assert canonize_mod.canonize(mine) == \
+            canonize_mod.canonize(ref_quads(ref["result"]))
     else:
         assert json.loads(json.dumps(mine)) == ref["result"], (
             f"mismatch for {case['name']}:\n"

@@ -1,7 +1,7 @@
 """Regressions for the three findings of the round-5 flatten/frame
-differential sweeps (tools/fuzz_flatten_sweep.py /
-tools/fuzz_frame_sweep.py). Expected outputs are PINNED literals,
-cross-checked against the reference via the node harness before
+differential sweeps (now the flatten and frame axes of tools/fuzz.py,
+whose docstring tables the campaign). Expected outputs are PINNED
+literals, cross-checked against the reference via the node harness before
 committing (ref_run.js ops flatten / merge / frameDecycled), so these
 run without node.
 

@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
+sys.path.insert(0, os.path.join(REPO, "tests"))
+
+from reference_oracle import ref_quads, run  # noqa: E402
 
 from jsonld_js_ray.core import canonize as canonize_mod  # noqa: E402
 from jsonld_js_ray.core import nquads as _nq  # noqa: E402
 
 D = os.path.join(REPO, "tests", "w3c_shaped")
-HARNESS = os.path.join(REPO, "tests", "refharness")
 BASE = "https://w3c.test/suite/"
 MOUNT_PREFIX = "https://mounted.test/"
 
@@ -84,19 +85,6 @@ def _entries(node):
 def _types(e):
     t = e.get("@type") or e.get("type") or []
     return t if isinstance(t, list) else [t]
-
-
-def _ref_term_to_tuple(t):
-    if t["termType"] == "Literal":
-        return ("Literal", t["value"], t["datatype"]["value"],
-                t.get("language") or None)
-    return (t["termType"], t["value"])
-
-
-def _ref_quads_to_tuples(quads):
-    return [tuple(_ref_term_to_tuple(q[k]) for k in
-                  ("subject", "predicate", "object", "graph"))
-            for q in quads]
 
 
 def main() -> int:
@@ -166,15 +154,7 @@ def main() -> int:
         jobs.append((tid, name, "neg" if negative else req["op"],
                      expect, req))
 
-    proc = subprocess.run(
-        ["node", os.path.join(HARNESS, "ref_run.js")],
-        input="\n".join(json.dumps(j[4]) for j in jobs),
-        capture_output=True, text=True, timeout=600,
-        env={**os.environ,
-             "NODE_PATH": os.path.join(HARNESS, "node_modules")})
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    results = [json.loads(x) for x in proc.stdout.strip().split("\n")]
-    assert len(results) == len(jobs), (len(results), len(jobs))
+    results = run([j[4] for j in jobs])
 
     n_ok = n_bad = 0
     for (tid, name, kind, expect, _req), ref in zip(jobs, results):
@@ -184,8 +164,7 @@ def main() -> int:
         elif not ref["ok"]:
             ok, detail = False, f"reference errored: {ref.get('error')}"
         elif kind == "toRdf":
-            got = canonize_mod.canonize(
-                _ref_quads_to_tuples(ref["result"]))
+            got = canonize_mod.canonize(ref_quads(ref["result"]))
             want = canonize_mod.canonize(_nq.parse(_read_text(expect)))
             ok, detail = got == want, "canonized N-Quads differ"
         else:
