@@ -24,6 +24,8 @@ from .util import IdentifierIssuer, js_sorted
 # able to hang a cluster worker; rdf-canonize grew the same guard.
 DEFAULT_MAX_WORK = 500_000
 
+CANON_PREFIX = "_:c14n"     # the spec's canonical issuer prefix
+
 
 def _sha256(s: str) -> str:
     return hashlib.sha256(s.encode("utf-8")).hexdigest()
@@ -54,7 +56,7 @@ class _CanonState:
         dataset = [q for q in dataset if q[2] is not None]
         self.dataset = dataset
         self.bnode_to_quads: dict[str, list[tuple]] = {}
-        self.canonical_issuer = IdentifierIssuer("_:c14n")
+        self.canonical_issuer = IdentifierIssuer(CANON_PREFIX)
         self.hash_cache: dict[str, str] = {}
         for quad in dataset:
             for term in (quad[0], quad[2], quad[3]):
@@ -179,10 +181,17 @@ class _CanonState:
 
 def relabel_dataset(dataset: list[tuple],
                     max_work: int = DEFAULT_MAX_WORK,
-                    algorithm: str = "URDNA2015") -> list[tuple]:
-    """Return dataset with blank nodes relabeled to canonical _:c14nN ids
+                    algorithm: str = "URDNA2015",
+                    prefix: str = CANON_PREFIX) -> list[tuple]:
+    """Return dataset with blank nodes relabeled to canonical ids
     (null-object quads dropped — see _CanonState). Raises JsonLdError
     code='complexity limit exceeded' past ``max_work`` units.
+
+    Hashing always issues the spec's ``_:c14nN`` labels (issued labels
+    feed hash-N-degree); ``prefix`` only replaces ``_:c14n`` in the
+    emitted labels, so a caller that namespaces them needs no second
+    pass. A dataset without blank nodes is returned deduplicated
+    without any hashing.
 
     The input is treated as a SET (an RDF dataset is a set of quads —
     RDF 1.1 Concepts §4): duplicate quads are dropped keep-first
@@ -194,6 +203,7 @@ def relabel_dataset(dataset: list[tuple],
     864917) must see identical labels either way."""
     seen: set = set()
     deduped = []
+    blank = False
     for q in dataset:
         try:
             key = q
@@ -204,6 +214,12 @@ def relabel_dataset(dataset: list[tuple],
         if fresh:
             seen.add(key)
             deduped.append(q)
+            if not blank:
+                o = q[2]
+                blank = "BlankNode" in (q[0][0], q[1][0], q[3][0]) or \
+                    (o is not None and o[0] == "BlankNode")
+    if not blank:
+        return [q for q in deduped if q[2] is not None]
     state = _CanonState(deduped, max_work=max_work, algorithm=algorithm)
 
     # 1) issue canonical ids for unique first-degree hashes
@@ -236,13 +252,11 @@ def relabel_dataset(dataset: list[tuple],
                 state.canonical_issuer.get_id(old_id)
 
     issued = state.canonical_issuer
-    out = []
-    for quad in state.dataset:
-        out.append(tuple(
-            ("BlankNode", issued.get_id(t[1])) if t[0] == "BlankNode" else t
-            for t in quad
-        ))
-    return out
+    cut = len(CANON_PREFIX)
+    return [tuple(
+        ("BlankNode", prefix + issued.get_id(t[1])[cut:])
+        if t[0] == "BlankNode" else t
+        for t in quad) for quad in state.dataset]
 
 
 def canonize(dataset: list[tuple],

@@ -35,7 +35,7 @@ class ActiveContext:
     __slots__ = (
         "mappings", "base", "original_base", "vocab", "language", "direction",
         "processing_mode", "previous_context", "protected", "_inverse", "_uid",
-        "_fast_curie", "_iri_cache", "_finalized",
+        "_fast_curie", "_iri_cache", "_key_plans", "_finalized",
     )
 
     def __init__(self, options: dict | None = None) -> None:
@@ -53,6 +53,7 @@ class ActiveContext:
         self._inverse: dict | None = None
         self._fast_curie: dict | None = None
         self._iri_cache: dict = {}
+        self._key_plans: dict = {}
         # expansion results may only be memoized on a FINALIZED context;
         # during processing (@vocab/@base handlers run before term
         # definitions exist) a cached result would go stale silently
@@ -74,6 +75,7 @@ class ActiveContext:
         child.previous_context = self.previous_context
         child.protected = dict(self.protected)
         child._iri_cache = {}
+        child._key_plans = {}
         child._finalized = True
         return child
 
@@ -489,6 +491,7 @@ def _process_one(active_ctx: ActiveContext, ctx: dict, options: dict,
 
     rval._inverse = None
     rval._iri_cache = {}
+    rval._key_plans = {}
     rval._finalized = True
     return rval
 
@@ -1010,6 +1013,37 @@ def get_context_value(active_ctx: ActiveContext, key: str | None,
     # JS returns undefined for @context so callers can distinguish an
     # explicit scoped `"@context": null` (stored as None above)
     return UNDEFINED if kind == "@context" else None
+
+
+def key_plan(active_ctx: ActiveContext, key: str | None,
+             options: dict | None = None) -> tuple:
+    """What expansion reads about ``key`` (a term, or None) in
+    ``active_ctx``: ``(IRI expanded with vocab, scoped @context,
+    @container or (), @type, @language, @direction, is reverse)``.
+
+    Memoised per key on a finalized context under ``_expand_iri``'s
+    guard: with an expansionMap hook every lookup recomputes, so the
+    hook sees the same calls as without the memo."""
+    if active_ctx._finalized and \
+            not (options and options.get("expansionMap")):
+        plan = active_ctx._key_plans.get(key)
+        if plan is None:
+            plan = active_ctx._key_plans[key] = _key_plan(
+                active_ctx, key, options)
+        return plan
+    return _key_plan(active_ctx, key, options)
+
+
+def _key_plan(active_ctx: ActiveContext, key: str | None,
+              options: dict | None) -> tuple:
+    mapping = active_ctx.mappings.get(key) if key is not None else None
+    return (expand_iri(active_ctx, key, vocab=True, options=options),
+            get_context_value(active_ctx, key, "@context"),
+            tuple(get_context_value(active_ctx, key, "@container") or ()),
+            get_context_value(active_ctx, key, "@type"),
+            get_context_value(active_ctx, key, "@language"),
+            get_context_value(active_ctx, key, "@direction"),
+            bool(mapping and mapping.get("reverse")))
 
 
 # --- inverse context (for compaction) ---

@@ -21,7 +21,7 @@ from .types import (
     is_empty_object, is_graph, is_keyword, is_list, is_object, is_string,
     is_subject, is_value,
 )
-from .util import add_value, as_array, get_values
+from .util import add_value, as_array, get_values, js_sorted
 
 REGEX_BCP47 = re.compile(r"^[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8})*$")
 
@@ -94,8 +94,8 @@ def expand(
         # drop free-floating scalars not in lists
         if not inside_list and (
             active_property is None
-            or _ctx.expand_iri(active_ctx, active_property, vocab=True,
-                               options=options) == "@graph"
+            or _ctx.key_plan(active_ctx, active_property,
+                             options)[0] == "@graph"
         ):
             mapped = _map_unmappable(
                 options, unmappedValue=element, activeCtx=active_ctx,
@@ -132,16 +132,13 @@ def expand(
         return rval
 
     # objects
-    expanded_active_property = _ctx.expand_iri(
-        active_ctx, active_property, vocab=True, options=options)
-
-    property_scoped_ctx = _ctx.get_context_value(
-        active_ctx, active_property, "@context")
+    expanded_active_property, property_scoped_ctx = _ctx.key_plan(
+        active_ctx, active_property, options)[:2]
 
     # determine whether to revert a type-scoped context (expand.js:169-200)
     type_scoped_context = type_scoped_context or (
         active_ctx if active_ctx.previous_context else None)
-    keys = sorted(element.keys())
+    keys = js_sorted(element)
     must_revert = not inside_index
     if must_revert and type_scoped_context and len(keys) <= 2 and \
             "@context" not in keys:
@@ -175,12 +172,11 @@ def expand(
     # look for scoped contexts on @type (expand.js:223-247)
     type_key = None
     for key in keys:
-        if _ctx.expand_iri(active_ctx, key, vocab=True,
-                           options=options) == "@type":
+        if _ctx.key_plan(active_ctx, key, options)[0] == "@type":
             type_key = type_key or key
             value = element[key]
             # JS Array.sort stringifies members; frames may mix dicts in
-            types = sorted(
+            types = js_sorted(
                 value,
                 key=lambda v: v if isinstance(v, str) else "[object Object]"
             ) if isinstance(value, list) else [value]
@@ -294,7 +290,7 @@ def _expand_object(
 ) -> None:
     """Expand each key/value of element into expanded_parent
     (expand.js:411-917)."""
-    keys = sorted(element.keys())
+    keys = js_sorted(element)
     nests: list[str] = []
     unexpanded_value: Any = None
 
@@ -314,8 +310,8 @@ def _expand_object(
         if key == "@context":
             continue
 
-        expanded_property = _ctx.expand_iri(
-            active_ctx, key, vocab=True, options=options)
+        plan = _ctx.key_plan(active_ctx, key, options)
+        expanded_property = plan[0]
 
         # drop non-absolute-IRI, non-keyword keys
         if expanded_property is None or not (
@@ -512,13 +508,15 @@ def _expand_object(
 
         # scoped context for this key
         term_ctx = active_ctx
-        ctx = _ctx.get_context_value(active_ctx, key, "@context")
-        if ctx is not _ctx.UNDEFINED:
+        container, is_reverse = plan[2], plan[6]
+        if plan[1] is not _ctx.UNDEFINED:
             term_ctx = _ctx.process_context(
-                active_ctx, ctx, options, propagate=True,
+                active_ctx, plan[1], options, propagate=True,
                 override_protected=True)
-
-        container = _ctx.get_context_value(term_ctx, key, "@container") or []
+            container = _ctx.get_context_value(
+                term_ctx, key, "@container") or []
+            mapping = term_ctx.mappings.get(key)
+            is_reverse = bool(mapping and mapping.get("reverse"))
 
         if "@language" in container and isinstance(value, dict):
             direction = _ctx.get_context_value(term_ctx, key, "@direction")
@@ -552,7 +550,7 @@ def _expand_object(
                 expanded_value = expand(
                     term_ctx, value, next_active_property, options,
                     inside_list=is_list_prop)
-            elif _ctx.get_context_value(active_ctx, key, "@type") == "@json":
+            elif plan[3] == "@json":
                 expanded_value = {"@type": "@json", "@value": value}
             else:
                 expanded_value = expand(
@@ -578,8 +576,7 @@ def _expand_object(
                 {"@graph": as_array(v)} for v in as_array(expanded_value)
             ]
 
-        mapping = term_ctx.mappings.get(key)
-        if mapping and mapping.get("reverse"):
+        if is_reverse:
             reverse_map = expanded_parent.setdefault("@reverse", {})
             for item in as_array(expanded_value):
                 if is_value(item) or is_list(item):
@@ -631,15 +628,13 @@ def _expand_value(active_ctx: _ctx.ActiveContext, active_property: str | None,
     if value is None:
         return None
 
-    expanded_property = _ctx.expand_iri(
-        active_ctx, active_property, vocab=True, options=options)
+    expanded_property, _, _, type_, language, direction, _ = \
+        _ctx.key_plan(active_ctx, active_property, options)
     if expanded_property == "@id":
         return _ctx.expand_iri(active_ctx, value, base=True, options=options)
     if expanded_property == "@type":
         return _ctx.expand_iri(active_ctx, value, vocab=True, base=True,
                                options=_type_opts(options))
-
-    type_ = _ctx.get_context_value(active_ctx, active_property, "@type")
 
     if (type_ == "@id" or expanded_property == "@graph") and is_string(value):
         return {"@id": _ctx.expand_iri(active_ctx, value, base=True,
@@ -655,12 +650,8 @@ def _expand_value(active_ctx: _ctx.ActiveContext, active_property: str | None,
     if type_ is not None and type_ not in ("@id", "@vocab", "@none"):
         rval["@type"] = type_
     elif is_string(value):
-        language = _ctx.get_context_value(
-            active_ctx, active_property, "@language")
         if language is not None:
             rval["@language"] = language
-        direction = _ctx.get_context_value(
-            active_ctx, active_property, "@direction")
         if direction is not None:
             rval["@direction"] = direction
 
@@ -674,7 +665,7 @@ def _expand_language_map(active_ctx: _ctx.ActiveContext, language_map: dict,
                          direction: Any, options: dict) -> list:
     """@container:@language map → value-object list (expand.js:1000-1031)."""
     rval = []
-    for key in sorted(language_map.keys()):
+    for key in js_sorted(language_map):
         expanded_key = _ctx.expand_iri(active_ctx, key, vocab=True,
                                        options=options)
         for item in as_array(language_map[key]):
@@ -700,7 +691,7 @@ def _expand_index_map(active_ctx: _ctx.ActiveContext, options: dict,
     """@index/@id/@type container maps (expand.js:1033-1125)."""
     rval = []
     is_type_index = index_key == "@type"
-    for key in sorted(value.keys()):
+    for key in js_sorted(value):
         if is_type_index:
             ctx = _ctx.get_context_value(active_ctx, key, "@context")
             if ctx is not _ctx.UNDEFINED:

@@ -8,7 +8,8 @@ still uses at toRdf.js:50, nodeMap.js:28, frame.js:43.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import re
+from typing import Any, Callable, Iterable
 
 from . import types as _t
 
@@ -329,6 +330,9 @@ def remove_value(subject: dict, prop: str, value: Any,
         subject[prop] = values
 
 
+_ASTRAL = re.compile("[\U00010000-\U0010FFFF]")   # two UTF-16 units
+
+
 def _surrogate_pair(c: str) -> str:
     o = ord(c) - 0x10000
     return chr(0xD800 + (o >> 10)) + chr(0xDC00 + (o & 0x3FF))
@@ -338,22 +342,32 @@ def _utf16_units(s: str) -> str:
     """``s`` with each character past U+FFFF split into its UTF-16
     surrogate pair, so that Python's ``<`` and ``len()`` on the result
     are JS ``<`` and ``.length`` on ``s``."""
-    if s.isascii() or max(s) < "\U00010000":
+    if s.isascii() or not _ASTRAL.search(s):
         return s
     return "".join(c if c < "\U00010000" else _surrogate_pair(c)
                    for c in s)
 
 
-def js_sorted(strings: Iterable[str]) -> list[str]:
-    """``strings`` in ECMAScript's default sort order, as the reference's
-    ``Object.keys(...).sort()`` gives.
+def js_sorted(items: Iterable, key: Callable[[Any], str] | None = None
+              ) -> list:
+    """``items`` in ECMAScript's default sort order, as the reference's
+    ``Object.keys(...).sort()`` gives; ``key`` maps an item to the
+    string JS would compare (default: the item itself).
 
     An ES string is a sequence of UTF-16 code units, and the default
     sort compares strings unit by unit. Python's ``sorted`` compares
     code points instead, which differs when a character past U+FFFF
-    (two units, 0xD800-0xDFFF) meets one in U+E000-U+FFFF.
+    (two units, 0xD800-0xDFFF) meets one in U+E000-U+FFFF. Without a
+    character past U+FFFF the two orders agree, so plain ``sorted``
+    serves.
     """
-    return sorted(strings, key=_utf16_units)
+    items = list(items)
+    joined = "".join(items if key is None else map(key, items))
+    if joined.isascii() or not _ASTRAL.search(joined):
+        return sorted(items, key=key)
+    if key is None:
+        return sorted(items, key=_utf16_units)
+    return sorted(items, key=lambda v: _utf16_units(key(v)))
 
 
 def compare_shortest_least(a: str, b: str) -> int:

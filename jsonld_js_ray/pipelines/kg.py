@@ -2,16 +2,26 @@
 
 Stages (all lazy Ray Data; the streaming executor pipelines them):
 
-  read_parquet(events)                      — column-pruned read
-    → groupby(user_id).map_groups(          — THE one shuffle: turn
-        derive_and_assemble_events_group)     derivation (+ entity
-                                              linking) + doc assembly
-    → map_batches(to_rdf_task_fn)           — expand + nodeMap + toRDF +
-                                              URDNA2015 per conversation
-    → quad table (Arrow)                    — FIXTURES.md §2 schema
+  read_parquet(events)                    — column-pruned read
+    → sort(user_id)                       — THE one shuffle: every
+                                            user's events in one block
+    → map_batches(_quads_block,           — per BLOCK: one Arrow sort,
+        batch_size=None)                    vectorised turn derivation
+                                            (+ entity linking), doc
+                                            assembly in memory, then
+                                            expand + nodeMap + toRDF +
+                                            URDNA2015 per conversation
+    → quad table (Arrow)                  — FIXTURES.md §2 schema
+
+This is the shape ``groupby(...).map_groups`` runs under the hood (a
+sort, then whole-block batches), without one Python call per user and
+without a ``json.dumps`` → ``json.loads`` hop between assembly and
+ToRdf (``stages/assemble.assemble_events_block``). ``assemble_docs``
+runs the same kernel and serialises the documents for the ``doc_json``
+consumers.
 
 The resumable sink runs the same stages with the shard id as an extra
-leading group key (``part_id``, from the read's file path) and ends in
+leading sort key (``part_id``, from the read's file path) and ends in
 one ``write_parquet(partition_cols=["shard"])``.
 
 There is one path. ``build_quads(..., entity_mapping=None)`` is the
@@ -30,18 +40,18 @@ from __future__ import annotations
 import functools
 import glob
 import hashlib
+import itertools
 import json
 import os
 import shutil
 import time
 from typing import Any
 
-import numpy as np
 import pyarrow as pa
 
 from ..rayutil import strip_meta as _strip_meta
-from ..stages.assemble import derive_and_assemble_events_group
-from ..stages.to_rdf_stage import to_rdf_task_fn
+from ..stages.assemble import assemble_events_block, doc_rows
+from ..stages.to_rdf_stage import rows_from_parsed_task_fn
 from ..state import checkpoint as ckpt
 
 
@@ -56,36 +66,76 @@ def _event_files(sf_dir: str) -> list[str]:
 _EVENT_COLS = ["event_id", "ts", "user_id", "event_type", "props"]
 
 
-def _assemble_fn(entity_mapping: dict | None):
-    """The per-user assembly UDF. ``entity_mapping`` is broadcast once
-    with ray.put and read per task — never re-shipped per batch."""
-    fn = derive_and_assemble_events_group
-    if entity_mapping is not None:
-        import ray
+def _read_events(files: list[str], fn=_strip_meta, **read_kwargs):
+    """Column-pruned events read; ``fn`` maps each read block."""
+    import ray.data as rd
 
-        fn = functools.partial(fn, mapping_ref=ray.put(entity_mapping))
-    return fn
+    return rd.read_parquet(
+        files, columns=_EVENT_COLS, **read_kwargs
+    ).map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _to_rdf_kwargs(batch_size: int, concurrency) -> dict[str, Any]:
-    kwargs: dict[str, Any] = {"batch_format": "pyarrow",
-                              "batch_size": batch_size}
+def _put(entity_mapping: dict | None):
+    """Broadcast the mapping once with ray.put; each block reads it."""
+    if entity_mapping is None:
+        return None
+    import ray
+
+    return ray.put(entity_mapping)
+
+
+def _get(mapping_ref) -> dict | None:
+    if mapping_ref is None:
+        return None
+    import ray
+
+    return ray.get(mapping_ref)
+
+
+def _per_block(events, keys, fn, concurrency=None):
+    """Sort on the group ``keys``, then ``fn`` once per whole block: the
+    rows of one key never span two blocks."""
+    kwargs: dict[str, Any] = {}
     if concurrency is not None:
         kwargs["concurrency"] = concurrency
-    return kwargs
+    return events.sort(keys).map_batches(
+        fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
+        **kwargs)
+
+
+def _docs_block(block: pa.Table, mapping_ref) -> pa.Table:
+    return doc_rows(assemble_events_block(block, _get(mapping_ref)))
+
+
+def _quads_block(block: pa.Table, *, batch_size: int, skip_errors: bool,
+                 mapping_ref):
+    """One sorted block of events → quad tables of at most
+    ``batch_size`` documents and one ``part_id`` each. With a
+    ``part_id`` (the sink) every quad keeps its doc's ``part_id`` and
+    gets the ``shard`` partition key (the zero-padded name
+    ``ckpt.shard_data_dir`` uses)."""
+    docs = assemble_events_block(block, _get(mapping_ref))
+    for pid, run in itertools.groupby(docs, key=lambda d: d[0]):
+        run = list(run)
+        for k in range(0, len(run), batch_size):
+            chunk = run[k:k + batch_size]
+            quads = rows_from_parsed_task_fn(
+                [d[1] for d in chunk], [d[3] for d in chunk], skip_errors)
+            if pid is not None:
+                n = quads.num_rows
+                quads = quads.append_column(
+                    "part_id", pa.repeat(pa.scalar(pid, pa.int32()), n)
+                ).append_column("shard", pa.repeat(pa.scalar(f"{pid:05d}"),
+                                                   n))
+            yield quads
 
 
 def assemble_docs(sf_dir: str, files: list[str] | None = None,
                   entity_mapping: dict | None = None):
     """events parquet → (conv_id, n_turns, doc_json) Dataset."""
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        files or _event_files(sf_dir), columns=_EVENT_COLS
-    ).map_batches(_strip_meta, batch_format="pyarrow",
-                  zero_copy_batch=True)
-    return events.groupby("user_id").map_groups(
-        _assemble_fn(entity_mapping), batch_format="pyarrow")
+    events = _read_events(files or _event_files(sf_dir))
+    return _per_block(events, "user_id", functools.partial(
+        _docs_block, mapping_ref=_put(entity_mapping)))
 
 
 def build_quads(sf_dir: str, files: list[str] | None = None,
@@ -100,18 +150,19 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     every turn to its canonical entity IRI; unmapped surfaces link to
     themselves.
 
-    The ToRdf stage runs as elastic tasks with a per-worker-process
-    singleton holding the context caches — measured 2-3x faster than an
-    autoscaling actor pool at this state size (see
-    stages/to_rdf_stage.to_rdf_task_fn).
+    The block UDF runs as elastic tasks with a per-worker-process
+    ToRdf singleton holding the context caches — measured 2-3x faster
+    than an autoscaling actor pool at this state size (see
+    stages/to_rdf_stage.rows_from_parsed_task_fn).
 
-    ``batch_size`` counts CONVERSATIONS per batch (one row each after
-    assembly) — moderate so a giant conversation cannot stall a block
-    (SURVEY.md §4.3 stragglers row).
+    ``batch_size`` counts CONVERSATIONS per ToRdf call and output table
+    — moderate so a giant block streams out in pieces (SURVEY.md §4.3
+    stragglers row).
     """
-    docs = assemble_docs(sf_dir, files, entity_mapping)
-    fn = functools.partial(to_rdf_task_fn, skip_errors=skip_errors)
-    return docs.map_batches(fn, **_to_rdf_kwargs(batch_size, concurrency))
+    events = _read_events(files or _event_files(sf_dir))
+    return _per_block(events, "user_id", functools.partial(
+        _quads_block, batch_size=batch_size, skip_errors=skip_errors,
+        mapping_ref=_put(entity_mapping)), concurrency)
 
 
 # --- the resumable sink: one execution, per-shard commits -------------
@@ -126,52 +177,20 @@ def _tag_parts(t: pa.Table, part_of: dict[str, int]) -> pa.Table:
         "part_id", ids.take(paths.indices)))
 
 
-def _assemble_part(group: pa.Table, fn) -> pa.Table:
-    """One (part_id, user_id) group → its doc rows, tagged with the
-    group's ``part_id``."""
-    docs = fn(group.drop_columns(["part_id"]))
-    return docs.append_column("part_id",
-                              pa.repeat(group["part_id"][0], docs.num_rows))
-
-
-def _to_rdf_parts(batch: pa.Table, skip_errors: bool) -> pa.Table:
-    """``to_rdf_task_fn`` over each run of docs with one ``part_id``;
-    every quad keeps its doc's ``part_id`` and gets the ``shard``
-    partition key (the zero-padded name ``ckpt.shard_data_dir`` uses).
-    Ray never hands a map UDF an empty batch."""
-    pids = batch["part_id"].to_numpy()
-    bounds = [0, *(np.flatnonzero(np.diff(pids)) + 1), len(pids)]
-    out = []
-    for a, b in zip(bounds, bounds[1:]):
-        quads = to_rdf_task_fn(batch.slice(a, b - a), skip_errors)
-        n, pid = quads.num_rows, int(pids[a])
-        out.append(quads.append_column(
-            "part_id", pa.repeat(pa.scalar(pid, pa.int32()), n)
-        ).append_column("shard", pa.repeat(pa.scalar(f"{pid:05d}"), n)))
-    return pa.concat_tables(out)
-
-
 def _shard_quads(pending: dict[int, tuple[str, str]], *, batch_size: int,
                  concurrency, entity_mapping: dict | None):
     """One lazy Dataset over every pending events file: read with paths →
-    groupby(part_id, user_id) assembly → ToRdf. Grouping on the shard
+    sort on (part_id, user_id) → the block kernel. Keying on the shard
     too keeps each file's output what a per-file run gives: a user whose
     events span two files yields one doc (same ``conv_id``) per file."""
-    import ray.data as rd
-
     part_of = {os.path.abspath(path): sid
                for sid, (path, _fp) in pending.items()}
-    events = rd.read_parquet(
-        list(part_of), columns=_EVENT_COLS, include_paths=True
-    ).map_batches(functools.partial(_tag_parts, part_of=part_of),
-                  batch_format="pyarrow", zero_copy_batch=True)
-    docs = events.groupby(["part_id", "user_id"]).map_groups(
-        functools.partial(_assemble_part,
-                          fn=_assemble_fn(entity_mapping)),
-        batch_format="pyarrow")
-    return docs.map_batches(
-        functools.partial(_to_rdf_parts, skip_errors=True),
-        **_to_rdf_kwargs(batch_size, concurrency))
+    events = _read_events(list(part_of),
+                          functools.partial(_tag_parts, part_of=part_of),
+                          include_paths=True)
+    return _per_block(events, ["part_id", "user_id"], functools.partial(
+        _quads_block, batch_size=batch_size, skip_errors=True,
+        mapping_ref=_put(entity_mapping)), concurrency)
 
 
 def _move_parts(src: str, rec: "ckpt.ShardRecord", tmp_dir: str) -> None:
@@ -495,46 +514,30 @@ def quad_stats(quads):
     """quads Dataset → (pred, n, n_subj) — per-predicate quad count and
     distinct-subject count.
 
-    Skew-proof two-phase aggregation (pred has ~9 values, so a naive
-    ``groupby("pred").map_groups`` would funnel billions of rows into one
-    pandas frame at scale):
-
-      phase A  per-batch ``pyarrow`` group_by (pred, subj) → partial
-               counts — the batch-local combiner;
-      phase B  ``groupby([pred, subj])`` over partials (high-cardinality
-               key: no skew) → one row per distinct (pred, subj);
-      phase C  per-batch group_by pred (n += sum, n_subj += rows), then a
-               tiny ``groupby(pred)`` over ≤ |preds|·n_blocks rows.
+    The package's one shuffle idiom (as in the flagship): sort on
+    ``subj`` so every subject's quads share one block, then per block
+    one Arrow ``group_by(pred, subj)`` → ``group_by(pred)`` gives
+    partial (n, n_subj) rows that never count a subject twice; a tiny
+    ``groupby(pred)`` over ≤ |preds|·n_blocks rows sums them. No hash
+    exchange of every (pred, subj) pair, and no skew from ``pred``
+    (~9 values) since the sort key is the subject.
     """
     import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    def partial_pair_counts(batch: pa.Table) -> pa.Table:
-        g = batch.select(["pred", "subj"]) \
-            .group_by(["pred", "subj"]) \
-            .aggregate([([], "count_all")])
+    def per_block(block: pa.Table) -> pa.Table:
+        pairs = block.group_by(["pred", "subj"]).aggregate(
+            [([], "count_all")])
+        g = pairs.group_by("pred").aggregate(
+            [("count_all", "sum"), ([], "count_all")])
         return pa.table({
             "pred": g["pred"],
-            "subj": g["subj"],
-            "n_part": g["count_all"].cast(pa.int64()),
-        })
-
-    pair_totals = quads.map_batches(
-        partial_pair_counts, batch_format="pyarrow", batch_size=65536
-    ).groupby(["pred", "subj"]).aggregate(
-        Sum("n_part", alias_name="n_part"))
-
-    def partial_pred_stats(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["pred"]).aggregate(
-            [("n_part", "sum"), ([], "count_all")])
-        return pa.table({
-            "pred": g["pred"],
-            "n": g["n_part_sum"].cast(pa.int64()),
+            "n": g["count_all_sum"].cast(pa.int64()),
             "n_subj": g["count_all"].cast(pa.int64()),
         })
 
-    return pair_totals.map_batches(
-        partial_pred_stats, batch_format="pyarrow", batch_size=65536
+    return _per_block(
+        quads.select_columns(["pred", "subj"]), "subj", per_block
     ).groupby("pred").aggregate(
         Sum("n", alias_name="n"),
         Sum("n_subj", alias_name="n_subj"))

@@ -144,7 +144,7 @@ def build_quads_from_jsonld_lines(paths, batch_size: int = 256,
     A malformed JSON line raises regardless of ``skip_errors`` (parity
     with the unfused reader, where the identity parse precedes the
     ToRdf try-block); ``skip_errors`` quarantines JSON-LD-level
-    failures exactly as in to_rdf_task_fn."""
+    failures exactly as in the KG pipeline's ToRdf."""
     from ..stages.to_rdf_stage import rows_from_parsed_task_fn
 
     def fused(batch: pa.Table, _s=skip_errors) -> pa.Table:

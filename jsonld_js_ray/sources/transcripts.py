@@ -57,6 +57,20 @@ TRANSCRIPT_SCHEMA = pa.schema([
 ])
 
 
+def turn_roles(event_type: list) -> list[str]:
+    """``role`` of each turn: ``ROLE_MAP`` of its event type, else
+    'other' (``ROLE_CASE_SQL``)."""
+    return [ROLE_MAP.get(e, "other") for e in event_type]
+
+
+def turn_text(event_type, props):
+    """``text`` of each turn, ``event_type || ' ' || props``: NULL when
+    either side is NULL, as in SQL."""
+    import pyarrow.compute as pc
+
+    return pc.binary_join_element_wise(event_type, props, " ")
+
+
 def derive_turns_from_events(group: pa.Table) -> pa.Table:
     """One events group (single user_id) → transcript rows, sorted by
     (ts, event_id). Used inside ``groupby('user_id').map_groups``."""
@@ -67,17 +81,13 @@ def derive_turns_from_events(group: pa.Table) -> pa.Table:
     g = group.take(order)
     n = g.num_rows
     user_id = g["user_id"][0].as_py()
-    event_type = g["event_type"].to_pylist()
-    props = g["props"].to_pylist()
     return pa.table({
         "conv_id": [f"conv-{user_id}"] * n,
         "turn_idx": range(n),
-        "role": [ROLE_MAP.get(e, "other") for e in event_type],
-        # SQL-consistent null propagation: `event_type || ' ' || props`
-        # is NULL when either side is NULL
-        "text": [None if (e is None or p is None) else f"{e} {p}"
-                 for e, p in zip(event_type, props)],
-        "tool": event_type,
+        "role": turn_roles(g["event_type"].to_pylist()),
+        "text": turn_text(g["event_type"], g["props"]).cast(
+            pa.large_string()),
+        "tool": g["event_type"],
         "ts": g["ts"],
     }, schema=TRANSCRIPT_SCHEMA)
 

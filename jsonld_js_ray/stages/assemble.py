@@ -1,10 +1,13 @@
 """Per-conversation JSON-LD document assembly.
 
-Transcript rows → one JSON-LD document per conversation, with stable turn
-ordering (in-group sort by turn_idx — the north-star per-row invariant).
-Runs inside ``groupby(conv_id).map_groups`` (SURVEY.md §7.1); for the
-events-derived flagship the turn derivation and assembly FUSE into a
-single ``groupby(user_id)`` so the pipeline has exactly one shuffle.
+Events → one JSON-LD document per conversation (user), turns in stable
+``(ts, event_id)`` order (the north-star per-row invariant). The
+flagship runs ``assemble_events_block`` once per block of a dataset
+sorted on the user key: one Arrow sort, turn derivation and mention
+linking vectorised over the block, then ``assemble_conversation`` per
+run of one user, chunked at ``MAX_TURNS_PER_DOC``. The documents go
+straight to ToRdf as Python objects; ``doc_rows`` serialises them only
+for the ``doc_json`` consumers. No per-user Python call through Ray.
 
 The fixed transcript @context maps role/text/tool/ts/position terms to
 IRIs under the ``https://w3id.org/conv#`` vocabulary; role values are
@@ -106,75 +109,128 @@ def assemble_conversation(
     return doc
 
 
-def assembled_doc_rows(
+def conversation_docs(
     conv_id: str,
-    turn_rows: list[dict[str, Any]],
+    turns: list[dict[str, Any]],
     mentions_by_turn: dict[int, list[str]] | None = None,
-    max_turns_per_doc: int = MAX_TURNS_PER_DOC,
-) -> pa.Table:
-    """Sorted turn rows → one or more (conv_id, n_turns, doc_json) rows.
+    max_turns_per_doc: int | None = None,
+) -> list[tuple[int, dict[str, Any]]]:
+    """One conversation's sorted turns → (n_turns, doc) per chunk.
 
-    Conversations above ``max_turns_per_doc`` are chunked so one
+    Conversations above ``max_turns_per_doc`` (default
+    ``MAX_TURNS_PER_DOC``, read at call time) are chunked so one
     pathological conversation cannot exceed a worker's heap; the union
     of the chunks' triple sets equals the unchunked set (conversation
     metadata only in chunk 0)."""
-    total = len(turn_rows)
-    chunks = [turn_rows[i:i + max_turns_per_doc]
-              for i in range(0, total, max_turns_per_doc)] or [[]]
-    out_docs = []
-    for i, chunk in enumerate(chunks):
-        doc = assemble_conversation(
-            conv_id, chunk, mentions_by_turn,
-            turn_count=total, include_conv_meta=(i == 0))
-        out_docs.append(json.dumps(doc, ensure_ascii=False, default=str))
-    return pa.table({
-        "conv_id": pa.array([conv_id] * len(out_docs), pa.string()),
-        "n_turns": pa.array(
-            [len(c) for c in chunks], pa.int32()),
-        "doc_json": pa.array(out_docs, pa.large_string()),
-    })
+    cap = max_turns_per_doc or MAX_TURNS_PER_DOC
+    total = len(turns)
+    chunks = [turns[i:i + cap] for i in range(0, total, cap)] or [[]]
+    return [(len(chunk), assemble_conversation(
+                conv_id, chunk, mentions_by_turn, turn_count=total,
+                include_conv_meta=(i == 0)))
+            for i, chunk in enumerate(chunks)]
 
 
-def assemble_group(turns: pa.Table,
-                   mentions_by_turn: dict[int, list[str]] | None = None
-                   ) -> pa.Table:
-    """map_groups fn: one conversation's transcript rows → one
-    (conv_id, n_turns, doc_json) row per chunk. Sorts by turn_idx
-    in-group. ``mentions_by_turn`` (turn_idx → entity IRIs) adds each
-    turn's ``mentions``."""
+def _run_starts(t: pa.Table, keys: list[str]) -> list[int]:
+    """Offsets where a run of equal ``keys`` starts in the sorted table
+    ``t``, then ``t.num_rows``. Null equals null, as in a group-by."""
+    import numpy as np
     import pyarrow.compute as pc
 
-    g = turns.take(pc.sort_indices(turns, sort_keys=[("turn_idx",
-                                                      "ascending")]))
-    conv_id = g["conv_id"][0].as_py()
-    cols = g.to_pydict()
-    turn_rows = [
-        {"turn_idx": cols["turn_idx"][i], "role": cols["role"][i],
-         "text": cols["text"][i], "tool": cols["tool"][i],
-         "ts": cols["ts"][i]}
-        for i in range(g.num_rows)
-    ]
-    return assembled_doc_rows(conv_id, turn_rows, mentions_by_turn)
+    n = t.num_rows
+    if n == 0:
+        return [0]
+    change = np.zeros(n - 1, dtype=bool)
+    for key in keys:
+        col = t[key].combine_chunks()
+        a, b = col.slice(1), col.slice(0, n - 1)
+        ne = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
+                    pc.not_equal(pc.is_null(a), pc.is_null(b)))
+        change |= ne.to_numpy(zero_copy_only=False)
+    return [0, *(np.flatnonzero(change) + 1).tolist(), n]
+
+
+def _ts_strings(ts: pa.ChunkedArray) -> list[str | None]:
+    """``format_ts`` of every value: one Arrow ``strftime`` for a
+    timestamp[us] column (its ``%S`` carries the microseconds), except
+    for years below 1000, which Arrow zero-pads and Python does not."""
+    import pyarrow.compute as pc
+
+    if ts.type == pa.timestamp("us"):
+        lo = pc.min(ts).as_py()
+        if lo is None or lo.year >= 1000:
+            return pc.strftime(ts, format="%Y-%m-%dT%H:%M:%S").to_pylist()
+    return [None if v is None else format_ts(v) for v in ts.to_pylist()]
+
+
+def assemble_events_block(events: pa.Table,
+                          mapping: dict[str, str] | None = None
+                          ) -> list[tuple[int | None, str, int, dict]]:
+    """The block kernel: events of any number of users → one
+    ``(part_id, conv_id, n_turns, doc)`` per document.
+
+    One sort on ``(part_id, user_id, ts, event_id)`` (``part_id``, the
+    sink's shard id, only when the table has it; else ``part_id`` is
+    None), turn derivation vectorised over the whole block with the
+    transcript rules (``sources.transcripts``), then one conversation
+    per run of equal ``(part_id, user_id)``: turns numbered from 0 in
+    ``(ts, event_id)`` order, chunked by ``conversation_docs``.
+    ``mapping`` (surface → canonical surface) links every turn's
+    mentions (``linker.link_mentions``, one call per block); None
+    links none. Documents come in key order."""
+    import pyarrow.compute as pc
+
+    from ..sources.transcripts import turn_roles, turn_text
+    from .linker import link_mentions
+
+    keys = [k for k in ("part_id", "user_id") if k in events.column_names]
+    t = events.take(pc.sort_indices(events, sort_keys=[
+        (k, "ascending") for k in (*keys, "ts", "event_id")]))
+    starts = _run_starts(t, keys)
+    firsts = pa.array(starts[:-1], pa.int64())
+    users = t["user_id"].take(firsts).to_pylist()
+    parts = t["part_id"].take(firsts).to_pylist() if "part_id" in keys \
+        else [None] * len(users)
+    tool = t["event_type"].to_pylist()
+    role = turn_roles(tool)
+    text_col = turn_text(t["event_type"], t["props"])
+    text = text_col.to_pylist()
+    ts = _ts_strings(t["ts"])
+    links = None if mapping is None else link_mentions(text_col, mapping)
+
+    out = []
+    for pid, user, a, b in zip(parts, users, starts, starts[1:]):
+        conv_id = f"conv-{user}"
+        turns = [{"turn_idx": i, "role": role[r], "text": text[r],
+                  "tool": tool[r], "ts": ts[r]}
+                 for i, r in enumerate(range(a, b))]
+        mentions = None if links is None else \
+            {i: links[r] for i, r in enumerate(range(a, b)) if links[r]}
+        out += [(pid, conv_id, n, doc)
+                for n, doc in conversation_docs(conv_id, turns, mentions)]
+    return out
+
+
+def doc_rows(docs: list[tuple[int | None, str, int, dict]]) -> pa.Table:
+    """Kernel documents → the ``(conv_id, n_turns, doc_json)`` table the
+    JSON connectors and per-document queries read."""
+    return pa.table({
+        "conv_id": pa.array([d[1] for d in docs], pa.string()),
+        "n_turns": pa.array([d[2] for d in docs], pa.int32()),
+        "doc_json": pa.array(
+            [json.dumps(d[3], ensure_ascii=False, default=str)
+             for d in docs], pa.large_string()),
+    })
 
 
 def derive_and_assemble_events_group(group: pa.Table,
                                      mapping_ref=None) -> pa.Table:
-    """Fused stage for the events-derived flagship: one user's events →
-    transcript turns (sorted ts, event_id) → assembled doc row.
+    """One user's events → (conv_id, n_turns, doc_json) rows: the block
+    kernel over a one-user block. ``mapping_ref`` (a ``ray.put``
+    surface → canonical surface dict) adds entity linking."""
+    mapping = None
+    if mapping_ref is not None:
+        import ray
 
-    ``mapping_ref`` (a ``ray.put`` surface → canonical surface dict)
-    adds entity linking: each turn's mentions become ``mentions`` IRIs
-    (``linker.link_turn_mentions``). One groupby(user_id) shuffle total
-    for read→doc (SURVEY.md §7.3).
-    """
-    from ..sources.transcripts import derive_turns_from_events
-
-    turns = derive_turns_from_events(group)
-    if mapping_ref is None:
-        return assemble_group(turns)
-    import ray
-
-    from .linker import link_turn_mentions
-
-    return assemble_group(turns,
-                          link_turn_mentions(turns, ray.get(mapping_ref)))
+        mapping = ray.get(mapping_ref)
+    return doc_rows(assemble_events_block(group, mapping))

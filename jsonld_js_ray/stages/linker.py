@@ -7,10 +7,10 @@ linker model and a cached @context/term-definition resolver)".
 The "model" is deterministic and self-contained (no external data): a
 token rule + a scoring function; real deployments would load an NER/EL
 model in ``__init__`` — the Ray-side shape (actor pool, state loaded
-once, batched scoring) is identical. ``MentionDetector``'s Arrow kernel
-is the one engine implementation of the rule: the mention stream
+once, batched scoring) is identical. ``_mention_surfaces`` is the one
+engine implementation of the rule: the mention stream
 (``detect_mentions``) and per-turn linking during document assembly
-(``link_turn_mentions``) both run it.
+(``link_mentions``, once per block of turns) both run it.
 
 Mention rule (SQL-mirrorable, see MENTIONS_SQL): alphabetic tokens of
 length >= 3, lowercased. Deliberately tiny surface-form cardinality on the
@@ -40,32 +40,37 @@ SCORE_SLOPE = 1 / 20.0     # per surface character
 SCORE_DIGITS = 3
 
 
+def _mention_surfaces(texts) -> tuple[pa.Array, pa.Array]:
+    """Texts → (surface, row): every mention's lowercased surface and
+    the index of its text, in text order then token order.
+
+    ``findall('[A-Za-z]{3,}')`` is equivalent to splitting on non-alpha
+    runs and keeping tokens of length ≥ 3, which Arrow's split + list
+    kernels express without a per-row Python loop (order preserved by
+    list_flatten)."""
+    import pyarrow.compute as pc
+
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    tokens = pc.split_pattern_regex(pc.fill_null(texts, ""),
+                                    pattern="[^A-Za-z]+")
+    flat = pc.list_flatten(tokens)
+    keep = pc.greater_equal(pc.utf8_length(flat), 3)
+    return (pc.utf8_lower(pc.filter(flat, keep)),
+            pc.filter(pc.list_parent_indices(tokens), keep))
+
+
 class MentionDetector:
     """Actor: transcript batches → mention rows.
 
     (conv_id, turn_idx, text) → (conv_id, turn_idx, surface, score,
-    entity_iri). Fully vectorized: ``findall('[A-Za-z]{3,}')`` is
-    equivalent to splitting on non-alpha runs and keeping tokens of
-    length ≥ 3, which Arrow's split + list kernels express without a
-    per-row Python loop (order preserved by list_flatten)."""
+    entity_iri), fully vectorized (``_mention_surfaces``)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
         import pyarrow.compute as pc
 
-        texts = pc.fill_null(batch["text"].combine_chunks()
-                             if isinstance(batch["text"], pa.ChunkedArray)
-                             else batch["text"], "")
-        tokens = pc.split_pattern_regex(texts, pattern="[^A-Za-z]+")
-        tokens = tokens.combine_chunks() if \
-            isinstance(tokens, pa.ChunkedArray) else tokens
-        flat = pc.list_flatten(tokens)
-        parents = pc.list_parent_indices(tokens)
-        keep = pc.greater_equal(pc.utf8_length(flat), 3)
-        flat = pc.filter(flat, keep)
-        parents = pc.filter(parents, keep)
-
-        surface = pc.utf8_lower(flat)
+        surface, parents = _mention_surfaces(batch["text"])
         lengths = pc.utf8_length(surface).to_numpy(zero_copy_only=False)
         scores = np.round(
             np.minimum(1.0, SCORE_BASE + lengths * SCORE_SLOPE),
@@ -83,22 +88,22 @@ class MentionDetector:
         })
 
 
-def link_turn_mentions(turns: pa.Table,
-                       mapping: dict[str, str]) -> dict[int, list[str]]:
-    """One conversation's turns (conv_id, turn_idx, text) → turn_idx →
-    entity IRIs. Each mention's surface links to ``mapping[surface]``
-    (surface → canonical surface), or to itself when unmapped; a turn
-    keeps one IRI per canonical surface, in first-seen order."""
-    found = MentionDetector()(turns)
-    by_turn: dict[int, list[str]] = {}
-    seen: set[tuple[int, str]] = set()
-    for turn_idx, surface in zip(found["turn_idx"].to_pylist(),
-                                 found["surface"].to_pylist()):
-        canonical = mapping.get(surface, surface)
-        if (turn_idx, canonical) not in seen:
-            seen.add((turn_idx, canonical))
-            by_turn.setdefault(turn_idx, []).append(ENTITY_NS + canonical)
-    return by_turn
+def link_mentions(texts, mapping: dict[str, str]) -> list[list[str] | None]:
+    """Turn texts → each turn's entity IRIs (None when it has none).
+    Each mention's surface links to ``mapping[surface]`` (surface →
+    canonical surface), or to itself when unmapped; a turn keeps one
+    IRI per canonical surface, in first-seen order. One detector call
+    for a whole block of turns."""
+    surface, rows = _mention_surfaces(texts)
+    out: list[list[str] | None] = [None] * len(texts)
+    for row, s in zip(rows.to_pylist(), surface.to_pylist()):
+        iri = ENTITY_NS + mapping.get(s, s)
+        found = out[row]
+        if found is None:
+            out[row] = [iri]
+        elif iri not in found:
+            found.append(iri)
+    return out
 
 
 def detect_mentions(transcripts, concurrency=None):

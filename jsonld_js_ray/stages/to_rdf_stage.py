@@ -1,15 +1,17 @@
 """ExpandToRdf stage: JSON-LD docs → Arrow quad batches.
 
 THE flagship per-document map (SURVEY.md §2.1 toRDF row), run as Ray
-tasks through ``to_rdf_task_fn``. A per-worker-process ``ToRdfActor``
-singleton holds the processed-context cache (the reference's
-resolved-context LRU, lib/jsonld.js:86-89, lives per worker here).
+tasks through ``rows_from_parsed_task_fn``. A per-worker-process
+``ToRdfActor`` singleton holds the processed-context cache (the
+reference's resolved-context LRU, lib/jsonld.js:86-89, lives per worker
+here).
 
 Per document: expand → node map → quads (lib/toRdf.js semantics) →
-URDNA2015 canonical blank-node labels → conv-scoped label namespace
-(`_:{fp}-c14nN`, following the reference's per-doc `_:b{i}-` relabel
-precedent in merge, lib/jsonld.js:805-807) so labels are globally unique
-across the cluster while staying deterministic per conversation.
+URDNA2015 canonical blank-node labels, issued straight into a
+conv-scoped namespace (`_:{fp}-c14nN`, following the reference's
+per-doc `_:b{i}-` relabel precedent in merge, lib/jsonld.js:805-807) so
+labels are globally unique across the cluster while staying
+deterministic per conversation.
 """
 
 from __future__ import annotations
@@ -40,17 +42,6 @@ QUAD_SCHEMA = pa.schema([
 _WORKER_SINGLETON: "ToRdfActor | None" = None
 
 
-def to_rdf_task_fn(batch: pa.Table, skip_errors: bool = False) -> pa.Table:
-    """Task-pool variant of the ToRdf stage: a per-WORKER-PROCESS
-    singleton holds the context caches (Ray reuses worker processes, so
-    state stays warm across tasks like an actor, but scheduling remains
-    elastic — no pool ramp-up, no CPU reservation starving the shuffle).
-
-    Measured on sf0.1/32cpus: tasks 4.4s vs autoscaling actor pool
-    9-13s."""
-    return _worker_actor(skip_errors)(batch)
-
-
 def _worker_actor(skip_errors: bool) -> "ToRdfActor":
     global _WORKER_SINGLETON
     if _WORKER_SINGLETON is None or \
@@ -61,10 +52,16 @@ def _worker_actor(skip_errors: bool) -> "ToRdfActor":
 
 def rows_from_parsed_task_fn(conv_ids: list, docs: list,
                              skip_errors: bool = False) -> pa.Table:
-    """Task-pool ToRdf over ALREADY-PARSED documents (the fused
-    line-connector path: the reader derives conv_id from the parsed
-    line and hands the object straight in, so each document's JSON
-    parses exactly once end-to-end)."""
+    """Task-pool ToRdf over documents as Python objects: the KG block
+    kernel hands its assembled documents straight in, and the line
+    connector its parsed lines, so no document goes through JSON text
+    between its source and ToRdf.
+
+    A per-WORKER-PROCESS singleton holds the context caches (Ray reuses
+    worker processes, so state stays warm across tasks like an actor,
+    but scheduling remains elastic — no pool ramp-up, no CPU
+    reservation starving the shuffle). Measured on sf0.1/32cpus: tasks
+    4.4s vs autoscaling actor pool 9-13s."""
     return _worker_actor(skip_errors).rows_from_docs(
         conv_ids, docs, parsed=True)
 
@@ -73,12 +70,8 @@ def conv_fingerprint(conv_id: str) -> str:
     return hashlib.sha1(conv_id.encode("utf-8")).hexdigest()[:10]
 
 
-def _namespace_label(label: str, fp: str) -> str:
-    return f"_:{fp}-{label[2:]}"
-
-
 class ToRdfActor:
-    """(conv_id, doc_json) batches → quad-table batches."""
+    """(conv_id, doc) pairs → quad-table batches."""
 
     def __init__(self, namespace_bnodes: bool = True,
                  skip_errors: bool = False) -> None:
@@ -109,24 +102,10 @@ class ToRdfActor:
             expanded = []
         if not isinstance(expanded, list):
             expanded = [expanded]
-        quads = _canonize.relabel_dataset(
-            _to_rdf.to_rdf(expanded, self.options))
-        if self.namespace_bnodes:
-            fp = conv_fingerprint(conv_id)
-            quads = [
-                tuple(
-                    ("BlankNode", _namespace_label(t[1], fp))
-                    if (t is not None and t[0] == "BlankNode") else t
-                    for t in q
-                )
-                for q in quads
-            ]
-        return quads
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.rows_from_docs(batch["conv_id"].to_pylist(),
-                                   batch["doc_json"].to_pylist(),
-                                   parsed=False)
+        prefix = f"_:{conv_fingerprint(conv_id)}-c14n" \
+            if self.namespace_bnodes else _canonize.CANON_PREFIX
+        return _canonize.relabel_dataset(
+            _to_rdf.to_rdf(expanded, self.options), prefix=prefix)
 
     def rows_from_docs(self, conv_ids: list, docs: list,
                        parsed: bool) -> pa.Table:

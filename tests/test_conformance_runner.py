@@ -28,10 +28,12 @@ import os
 import pytest
 
 from jsonld_js_ray.conformance import run_manifest
+from reference_oracle import AVAILABLE, SKIP_REASON
 
 REF_TESTS = "/root/reference/tests"
 
 
+@pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 def test_reference_bundled_manifest():
     rep = run_manifest(
         f"{REF_TESTS}/manifest.jsonld",
@@ -259,6 +261,7 @@ def test_official_suites(suite, manifest):
     assert rep["fail"] == 0, rep["failures"][:10]
 
 
+@pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 def test_fixture_corpus_matches_reference():
     """Mechanical proof of the corpus's 'reference-cross-checked'
     claim: replay every replayable manifest case through the node

@@ -19,6 +19,7 @@ from jsonld_js_ray.core.util import (
     IdentifierIssuer, ValueIndex, add_value, compare_shortest_least,
     compare_values, js_sorted, value_key,
 )
+from reference_oracle import AVAILABLE, SKIP_REASON
 
 REF = "/root/reference"
 
@@ -300,6 +301,43 @@ def test_js_sorted_orders_by_utf16_code_units() -> None:
     assert js_sorted({"b": 1, "a": 2}) == ["a", "b"]
 
 
+def test_expand_orders_keys_and_index_maps_in_js_order() -> None:
+    """Expansion walks an object's keys and an index map's keys in JS
+    order: a key past U+FFFF comes before one in U+E000-U+FFFF."""
+    doc = {"@context": {"p": {"@id": "http://e/p",
+                              "@container": "@index"}},
+           "@id": "http://e/s",
+           _BMP: "bmp", _ASTRAL: "astral",
+           "p": {"\ue000": "bmp", "\U00010000": "astral"}}
+    out = api.expand(doc)[0]
+    assert list(out) == ["@id", _ASTRAL, _BMP, "http://e/p"]
+    assert [v["@index"] for v in out["http://e/p"]] == \
+        ["\U00010000", "\ue000"]
+
+
+def test_expand_key_plan_memo_keeps_hook_calls() -> None:
+    """The per-context key memo is bypassed under an expansionMap hook:
+    a second expansion against the same warm context makes the hook
+    see the same calls as the first."""
+    from jsonld_js_ray.core import context as ctx_mod
+    from jsonld_js_ray.core import expand as expand_mod
+
+    calls: list = []
+    options = {"base": "", "processingMode": "json-ld-1.1",
+               "contextResolver": ctx_mod.ContextResolver(cache={}),
+               "expansionMap": lambda info: calls.append(
+                   sorted(k for k in info if k != "options")) or None}
+    active = ctx_mod.ActiveContext(options)
+    doc = {"@context": {"@vocab": "http://e/", "t": {"@type": "@id"}},
+           "@id": "s", "name": "x", "t": "rel", "other": 1}
+    first = expand_mod.expand(active, doc, None, options)
+    n = len(calls)
+    assert n and expand_mod.expand(active, doc, None, options) == first
+    assert calls[n:] == calls[:n]
+    plain = dict(options, expansionMap=None)
+    assert expand_mod.expand(active, doc, None, plain) == first
+
+
 def test_to_rdf_labels_blank_nodes_in_js_key_order() -> None:
     quads = api.to_rdf({"@id": "http://e/s",
                         _BMP: {"http://e/v": "bmp"},
@@ -356,6 +394,34 @@ def test_nquads_roundtrip() -> None:
     assert sorted(parsed) == sorted(quads)
 
 
+# FIXTURES.md §3.2: the reference's fromRdf-0001 pair, rebuilt from the
+# description there (six lines, comments on lines 2 and 4, an xsd:date
+# typed literal, an @en literal) with the expected output printed there
+NQUADS_WITH_COMMENTS = """\
+<http://example.com/Subj1> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Type> .
+# a whole-line comment
+<http://example.com/Subj1> <http://example.com/prop1> <http://example.com/Obj1> .
+<http://example.com/Subj1> <http://example.com/prop2> "Plain" . # trailing
+<http://example.com/Subj1> <http://example.com/prop2> "2012-05-12"^^<http://www.w3.org/2001/XMLSchema#date> .
+<http://example.com/Subj1> <http://example.com/prop2> "English"@en .
+"""
+FROM_RDF_COMMENTS_OUT = [{
+    "@id": "http://example.com/Subj1",
+    "@type": ["http://example.com/Type"],
+    "http://example.com/prop1": [{"@id": "http://example.com/Obj1"}],
+    "http://example.com/prop2": [
+        {"@value": "Plain"},
+        {"@value": "2012-05-12",
+         "@type": "http://www.w3.org/2001/XMLSchema#date"},
+        {"@value": "English", "@language": "en"}]}]
+
+
+def test_nquads_comments_case() -> None:
+    assert len(NQUADS_WITH_COMMENTS.splitlines()) == 6
+    assert api.from_rdf(NQUADS_WITH_COMMENTS) == FROM_RDF_COMMENTS_OUT
+
+
+@pytest.mark.skipif(not AVAILABLE, reason=SKIP_REASON)
 def test_nquads_comments_fixture() -> None:
     """The reference's local fromRdf manifest test #t0007
     (tests/manifest.jsonld:45-50)."""

@@ -587,7 +587,7 @@ def test_giant_conversation_chunking_same_triple_set():
     exactly the unchunked triple set (conv metadata once)."""
     import json
 
-    from jsonld_js_ray.stages.assemble import assembled_doc_rows
+    from jsonld_js_ray.stages.assemble import conversation_docs
     from jsonld_js_ray.stages.to_rdf_stage import ToRdfActor
 
     turns = [{"turn_idx": i, "role": "user", "text": f"t{i}",
@@ -595,18 +595,20 @@ def test_giant_conversation_chunking_same_triple_set():
              for i in range(25)]
     actor = ToRdfActor()
 
-    def quads_for(rows_tbl):
+    def quads_for(docs):
         out = set()
-        for dj in rows_tbl["doc_json"].to_pylist():
-            out |= set(actor.doc_to_quads(json.loads(dj), "c1"))
+        for _n, doc in docs:
+            out |= set(actor.doc_to_quads(json.loads(json.dumps(doc)),
+                                          "c1"))
         return out
 
-    whole = assembled_doc_rows("c1", turns, max_turns_per_doc=10_000)
-    chunked = assembled_doc_rows("c1", turns, max_turns_per_doc=7)
-    assert whole.num_rows == 1 and chunked.num_rows == 4
+    whole = conversation_docs("c1", turns, max_turns_per_doc=10_000)
+    chunked = conversation_docs("c1", turns, max_turns_per_doc=7)
+    assert len(whole) == 1 and len(chunked) == 4
+    assert [n for n, _doc in chunked] == [7, 7, 7, 4]
     assert quads_for(whole) == quads_for(chunked)
     # turnCount appears exactly once and carries the TOTAL
-    docs = [json.loads(d) for d in chunked["doc_json"].to_pylist()]
+    docs = [doc for _n, doc in chunked]
     counts = [d.get("turnCount") for d in docs if "turnCount" in d]
     assert counts == [25]
 
