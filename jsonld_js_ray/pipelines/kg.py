@@ -20,6 +20,13 @@ ToRdf (``stages/assemble.assemble_events_block``). ``assemble_docs``
 runs the same kernel and serialises the documents for the ``doc_json``
 consumers.
 
+Every other grouping query here runs the same idiom
+(``rayutil.per_block``: sort on the key, then one named block function
+per whole block): the compact and flatten counts and the node
+properties merge over the kernel's documents (``user_id``, then
+``subj`` for the merge), the fromRDF round trip (``conv_id``),
+``quad_stats`` (``subj``) and the BGP join (the turn IRI).
+
 The resumable sink runs the same stages with the shard id as an extra
 leading sort key (``part_id``, from the read's file path) and ends in
 one ``write_parquet(partition_cols=["shard"])``.
@@ -38,41 +45,31 @@ Never calls ray.init (driver owns the session).
 from __future__ import annotations
 
 import functools
-import glob
 import hashlib
 import itertools
 import json
 import os
 import shutil
 import time
-from typing import Any
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..rayutil import strip_meta as _strip_meta
-from ..stages.assemble import assemble_events_block, doc_rows
-from ..stages.to_rdf_stage import rows_from_parsed_task_fn
+from .. import api as _api
+from ..core.from_rdf import from_rdf
+from ..core.nodemap import create_node_map
+from ..core.to_rdf import to_rdf
+from ..core.util import IdentifierIssuer, ValueIndex
+from ..rayutil import (
+    event_files as _event_files, per_block as _per_block,
+    read_events as _read_events, run_starts, strip_meta as _strip_meta,
+)
+from ..sources.nquads_io import rows_to_terms, terms_to_rows
+from ..stages.assemble import (
+    CONV_VOCAB, TRANSCRIPT_CONTEXT, assemble_events_block, doc_rows,
+)
+from ..stages.to_rdf_stage import QUAD_SCHEMA, rows_from_parsed_task_fn
 from ..state import checkpoint as ckpt
-
-
-def _event_files(sf_dir: str) -> list[str]:
-    files = sorted(glob.glob(f"{sf_dir}/events.parquet")
-                   or glob.glob(f"{sf_dir}/events/*.parquet"))
-    if not files:
-        raise FileNotFoundError(f"no events parquet under {sf_dir}")
-    return files
-
-
-_EVENT_COLS = ["event_id", "ts", "user_id", "event_type", "props"]
-
-
-def _read_events(files: list[str], fn=_strip_meta, **read_kwargs):
-    """Column-pruned events read; ``fn`` maps each read block."""
-    import ray.data as rd
-
-    return rd.read_parquet(
-        files, columns=_EVENT_COLS, **read_kwargs
-    ).map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _put(entity_mapping: dict | None):
@@ -90,17 +87,6 @@ def _get(mapping_ref) -> dict | None:
     import ray
 
     return ray.get(mapping_ref)
-
-
-def _per_block(events, keys, fn, concurrency=None):
-    """Sort on the group ``keys``, then ``fn`` once per whole block: the
-    rows of one key never span two blocks."""
-    kwargs: dict[str, Any] = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    return events.sort(keys).map_batches(
-        fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
-        **kwargs)
 
 
 def _docs_block(block: pa.Table, mapping_ref) -> pa.Table:
@@ -284,67 +270,63 @@ def run_kg_pipeline(sf_dir: str, out_dir: str,
                        concurrency=concurrency)
 
 
+def _roundtrip_block(quads: pa.Table) -> pa.Table:
+    """Quads sorted on ``conv_id`` → the same quads through fromRDF and
+    toRDF again, once per conversation (list reassembly needs the whole
+    graph, SURVEY.md §2.1 fromRDF row)."""
+    starts = run_starts(quads, ["conv_id"])
+    conv = quads["conv_id"]
+    return pa.concat_tables([
+        terms_to_rows(to_rdf(from_rdf(rows_to_terms(quads.slice(a, b - a)),
+                                      {}), {}), conv[a].as_py())
+        for a, b in zip(starts, starts[1:])] or [QUAD_SCHEMA.empty_table()])
+
+
 def roundtrip_quads(sf_dir: str):
-    """fromRDF∘toRDF round-trip, distributed: quad table →
-    groupby(conv_id) → per-conversation fromRDF (list reassembly needs
-    the whole graph in one group, SURVEY.md §2.1 fromRDF row) → toRDF →
-    quad table again. Oracle: identical to kg_quads (lossless round
-    trip on the flagship corpus)."""
-    import pyarrow as pa
+    """fromRDF∘toRDF round-trip, distributed: the quad table through
+    ``_per_block`` on ``conv_id`` and ``_roundtrip_block``. Oracle:
+    identical to kg_quads (lossless round trip on the flagship
+    corpus)."""
+    return _per_block(build_quads(sf_dir), "conv_id", _roundtrip_block)
 
-    from ..core.from_rdf import from_rdf as core_from_rdf
-    from ..core.to_rdf import to_rdf as core_to_rdf
-    from ..sources.nquads_io import rows_to_terms, terms_to_rows
 
-    quads = build_quads(sf_dir)
+def _conv_counts(events: pa.Table, column: str, count_doc,
+                 per_chunk: int = 0) -> pa.Table:
+    """Events of whole users → one ``(conv_id, column)`` row per
+    conversation: ``count_doc`` summed over its documents, each chunk
+    after the first less ``per_chunk`` (what every chunk repeats)."""
+    totals: dict[str, int] = {}
+    for _pid, conv_id, _n, doc in assemble_events_block(events):
+        totals[conv_id] = totals.get(conv_id, per_chunk) \
+            + count_doc(doc) - per_chunk
+    return pa.table({"conv_id": pa.array(list(totals), pa.string()),
+                     column: pa.array(list(totals.values()), pa.int64())})
 
-    def per_conv(group: pa.Table) -> pa.Table:
-        conv_id = group["conv_id"][0].as_py()
-        terms = rows_to_terms(group)
-        expanded = core_from_rdf(terms, {})
-        quads2 = core_to_rdf(expanded, {})
-        return terms_to_rows(quads2, conv_id)
 
-    return quads.groupby("conv_id").map_groups(per_conv,
-                                               batch_format="pyarrow")
+def _compacted_turns(doc: dict) -> int:
+    compacted = _api.compact(_api.expand(doc), TRANSCRIPT_CONTEXT)
+    return len(_api.expand(compacted)[0].get(CONV_VOCAB + "hasTurn", []))
+
+
+def _compact_counts_block(events: pa.Table) -> pa.Table:
+    """Per conversation: hasTurn values after compact∘expand."""
+    return _conv_counts(events, "n_turns", _compacted_turns)
+
+
+def _flatten_counts_block(events: pa.Table) -> pa.Table:
+    """Per conversation: flattened nodes; every chunk's flatten repeats
+    the conversation node."""
+    return _conv_counts(events, "n_nodes", lambda d: len(_api.flatten(d)),
+                        per_chunk=1)
 
 
 def compact_roundtrip_turn_counts(sf_dir: str):
-    """Distributed compact∘expand round-trip over the assembled docs:
-    each doc is compacted against the transcript context, re-expanded,
-    and its hasTurn count emitted. Oracle: turns per conversation from
-    the transcripts CTE."""
-    import pyarrow as pa
-
-    from .. import api as _api
-    from ..stages.assemble import TRANSCRIPT_CONTEXT
-
-    docs = assemble_docs(sf_dir)
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        conv_ids = batch["conv_id"].to_pylist()
-        out_n = []
-        for doc_json in batch["doc_json"].to_pylist():
-            doc = json.loads(doc_json)
-            expanded = _api.expand(doc)
-            compacted = _api.compact(expanded, TRANSCRIPT_CONTEXT)
-            re_expanded = _api.expand(compacted)
-            turns = re_expanded[0].get(
-                "https://w3id.org/conv#hasTurn", [])
-            out_n.append(len(turns))
-        return pa.table({
-            "conv_id": pa.array(conv_ids, pa.string()),
-            "n_turns": pa.array(out_n, pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum
-
-    per_chunk = docs.map_batches(per_batch, batch_format="pyarrow",
-                                 batch_size=256)
-    # chunked giant conversations emit one row per chunk; the oracle is
-    # per conversation — sum of chunk turn counts == total
-    return per_chunk.groupby("conv_id").aggregate(
-        Sum("n_turns", alias_name="n_turns"))
+    """Distributed compact∘expand round-trip: each conversation's
+    documents are compacted against the transcript context, re-expanded,
+    and their hasTurn values counted (``_compact_counts_block``). Oracle:
+    turns per conversation from the transcripts CTE."""
+    return _per_block(_read_events(_event_files(sf_dir)), "user_id",
+                      _compact_counts_block)
 
 
 def build_entity_mapping(sf_dir: str, threshold: float = 0.6) -> dict:
@@ -412,132 +394,98 @@ def run_full_kg_pipeline(sf_dir: str, out_dir: str,
 
 
 def flatten_doc_node_counts(sf_dir: str):
-    """Distributed flatten over the assembled docs: each conversation doc
-    flattens to 1 conversation node + n_turns message nodes (+ entity
-    reference nodes when mentions are linked). Oracle: turns-per-conv + 1."""
-    import pyarrow as pa
+    """Distributed flatten: each conversation flattens to 1 conversation
+    node + n_turns message nodes (``_flatten_counts_block``). Oracle:
+    turns-per-conv + 1."""
+    return _per_block(_read_events(_event_files(sf_dir)), "user_id",
+                      _flatten_counts_block)
 
-    from .. import api as _api
 
-    docs = assemble_docs(sf_dir)
+def _node_rows_block(events: pa.Table) -> pa.Table:
+    """Events of whole users → one (subj, prop, value_json) row per value
+    of every node of every expanded document."""
+    subjects, props, values = [], [], []
+    for _pid, _conv_id, _n, doc in assemble_events_block(events):
+        graphs: dict = {"@default": {}}
+        create_node_map(_api.expand(doc), graphs, "@default",
+                        IdentifierIssuer("_:b"))
+        for subj, node in graphs["@default"].items():
+            for prop, vals in node.items():
+                if prop == "@id":
+                    continue
+                for v in (vals if isinstance(vals, list) else [vals]):
+                    subjects.append(subj)
+                    props.append(prop)
+                    values.append(json.dumps(v, sort_keys=True))
+    return pa.table({
+        "subj": pa.array(subjects, pa.string()),
+        "prop": pa.array(props, pa.string()),
+        "value_json": pa.array(values, pa.large_string()),
+    })
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        conv_ids = batch["conv_id"].to_pylist()
-        out = []
-        for doc_json in batch["doc_json"].to_pylist():
-            flattened = _api.flatten(json.loads(doc_json))
-            out.append(len(flattened))
-        return pa.table({
-            "conv_id": pa.array(conv_ids, pa.string()),
-            "n_nodes": pa.array(out, pa.int64()),
-            "n_chunks": pa.array([1] * len(out), pa.int64()),
-        })
 
-    from ray.data.aggregate import Sum
-
-    per_chunk = docs.map_batches(per_batch, batch_format="pyarrow",
-                                 batch_size=256)
-    # each chunk's flatten includes the conversation node, so the
-    # per-conversation total is sum(n_nodes) - (n_chunks - 1)
-    agg = per_chunk.groupby("conv_id").aggregate(
-        Sum("n_nodes", alias_name="sum_nodes"),
-        Sum("n_chunks", alias_name="n_chunks"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        n = pc.add(pc.subtract(batch["sum_nodes"], batch["n_chunks"]),
-                   pa.scalar(1, pa.int64()))
-        return pa.table({"conv_id": batch["conv_id"],
-                         "n_nodes": n.cast(pa.int64())})
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+def _merge_block(rows: pa.Table) -> pa.Table:
+    """Rows sorted on ``subj`` → (subj, n_props, n_values) per subject,
+    its values union-merged with addValue dedup."""
+    starts = run_starts(rows, ["subj"])
+    props = rows["prop"].to_pylist()
+    values = rows["value_json"].to_pylist()
+    n_props, n_values = [], []
+    for a, b in zip(starts, starts[1:]):
+        node: dict = {}
+        index = ValueIndex()
+        for i in range(a, b):
+            index.add(node, props[i], json.loads(values[i]))
+        n_props.append(len(node))
+        n_values.append(sum(len(v) for v in node.values()))
+    return pa.table({
+        "subj": rows["subj"].take(pa.array(starts[:-1], pa.int64())),
+        "n_props": pa.array(n_props, pa.int64()),
+        "n_values": pa.array(n_values, pa.int64()),
+    })
 
 
 def distributed_merge_node_props(sf_dir: str):
     """jsonld.merge at cluster scale (SURVEY §2.1 merge row: "groupby
-    (subject_iri) union-merge"): expand every conversation doc to flat
-    (subject, property, value-json) rows, hash-shuffle on the subject
-    IRI, union-merge each subject's values with addValue dedup (the
-    reference's merge semantics, lib/jsonld.js:803-830), and emit
-    (subj, n_props, n_values) per merged node."""
-    import pandas as pd
-    import pyarrow as pa
+    (subject_iri) union-merge"): expand every conversation document to
+    flat (subject, property, value-json) rows, shuffle on the subject
+    IRI (a chunked conversation's node spans documents), union-merge
+    each subject's values with addValue dedup (the reference's merge
+    semantics, lib/jsonld.js:803-830), and emit (subj, n_props,
+    n_values) per merged node."""
+    rows = _per_block(_read_events(_event_files(sf_dir)), "user_id",
+                      _node_rows_block)
+    return _per_block(rows, "subj", _merge_block)
 
-    from .. import api as _api
-    from ..core.util import ValueIndex
 
-    docs = assemble_docs(sf_dir)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        subjects, props, values = [], [], []
-        for doc_json in batch["doc_json"].to_pylist():
-            expanded = _api.expand(json.loads(doc_json))
-            from ..core.nodemap import create_node_map
-            from ..core.util import IdentifierIssuer
-            graphs: dict = {"@default": {}}
-            create_node_map(expanded, graphs, "@default",
-                            IdentifierIssuer("_:b"))
-            for subj, node in graphs["@default"].items():
-                for prop, vals in node.items():
-                    if prop == "@id":
-                        continue
-                    for v in (vals if isinstance(vals, list) else [vals]):
-                        subjects.append(subj)
-                        props.append(prop)
-                        values.append(json.dumps(v, sort_keys=True))
-        return pa.table({
-            "subj": pa.array(subjects, pa.string()),
-            "prop": pa.array(props, pa.string()),
-            "value_json": pa.array(values, pa.large_string()),
-        })
-
-    rows = docs.map_batches(explode, batch_format="pyarrow",
-                            batch_size=256)
-
-    def merge_subject(g: pd.DataFrame) -> pd.DataFrame:
-        node: dict = {}
-        index = ValueIndex()
-        for prop, vj in zip(g["prop"], g["value_json"]):
-            index.add(node, prop, json.loads(vj))
-        n_values = sum(len(v) for v in node.values())
-        return pd.DataFrame({
-            "subj": [g["subj"].iloc[0]],
-            "n_props": [len(node)],
-            "n_values": [n_values],
-        })
-
-    return rows.groupby("subj").map_groups(merge_subject,
-                                           batch_format="pandas")
+def _quad_stats_block(quads: pa.Table) -> pa.Table:
+    """Quads whose subjects are all in this block → partial (pred, n,
+    n_subj) rows that never count a subject twice."""
+    pairs = quads.group_by(["pred", "subj"]).aggregate([([], "count_all")])
+    g = pairs.group_by("pred").aggregate(
+        [("count_all", "sum"), ([], "count_all")])
+    return pa.table({
+        "pred": g["pred"],
+        "n": g["count_all_sum"].cast(pa.int64()),
+        "n_subj": g["count_all"].cast(pa.int64()),
+    })
 
 
 def quad_stats(quads):
     """quads Dataset → (pred, n, n_subj) — per-predicate quad count and
     distinct-subject count.
 
-    The package's one shuffle idiom (as in the flagship): sort on
-    ``subj`` so every subject's quads share one block, then per block
-    one Arrow ``group_by(pred, subj)`` → ``group_by(pred)`` gives
-    partial (n, n_subj) rows that never count a subject twice; a tiny
-    ``groupby(pred)`` over ≤ |preds|·n_blocks rows sums them. No hash
-    exchange of every (pred, subj) pair, and no skew from ``pred``
-    (~9 values) since the sort key is the subject.
+    ``_per_block`` on ``subj`` puts every subject's quads in one block;
+    ``_quad_stats_block``'s Arrow ``group_by(pred, subj)`` →
+    ``group_by(pred)`` gives partials, and a tiny ``groupby(pred)`` over
+    ≤ |preds|·n_blocks rows sums them. No hash exchange of every (pred,
+    subj) pair, and no skew from ``pred`` (~9 values) since the sort
+    key is the subject.
     """
-    import pyarrow as pa
     from ray.data.aggregate import Sum
 
-    def per_block(block: pa.Table) -> pa.Table:
-        pairs = block.group_by(["pred", "subj"]).aggregate(
-            [([], "count_all")])
-        g = pairs.group_by("pred").aggregate(
-            [("count_all", "sum"), ([], "count_all")])
-        return pa.table({
-            "pred": g["pred"],
-            "n": g["count_all_sum"].cast(pa.int64()),
-            "n_subj": g["count_all"].cast(pa.int64()),
-        })
-
     return _per_block(
-        quads.select_columns(["pred", "subj"]), "subj", per_block
+        quads.select_columns(["pred", "subj"]), "subj", _quad_stats_block
     ).groupby("pred").aggregate(
         Sum("n", alias_name="n"),
         Sum("n_subj", alias_name="n_subj"))
@@ -547,71 +495,54 @@ def quad_stats(quads):
 # ?conv :hasTurn ?turn . ?turn :mentions ?entity  →  per-(conv, entity)
 # mention counts. This is the canonical 2-hop triple-pattern join a KG
 # query layer needs; it deliberately joins on the turn IRI VALUE (a
-# bucketed hash join over the quad stream) rather than parsing the IRI
-# structure, so it works for any quad table.
+# sort-partitioned join over the quad stream) rather than parsing the
+# IRI structure, so it works for any quad table.
 
-BGP_JOIN_BUCKETS = 128
+_HAS_TURN = CONV_VOCAB + "hasTurn"
+_MENTIONS = CONV_VOCAB + "mentions"
+
+
+def _bgp_edges(quads: pa.Table) -> pa.Table:
+    """Quads → the rows of the two triple patterns keyed on the join
+    variable: (turn, conv, True) per hasTurn, (turn, entity, False) per
+    mentions."""
+    t = quads.filter(pc.is_in(quads["pred"],
+                              value_set=pa.array([_HAS_TURN, _MENTIONS])))
+    is_turn = pc.equal(t["pred"], _HAS_TURN)
+    obj = t["obj_value"].cast(pa.string())
+    return pa.table({"key": pc.if_else(is_turn, obj, t["subj"]),
+                     "val": pc.if_else(is_turn, t["subj"], obj),
+                     "is_turn": is_turn})
+
+
+def _join_block(edges: pa.Table) -> pa.Table:
+    """Edges whose turns are all in this block → partial (conv, entity,
+    n_part) counts: one inner join of the two patterns on the turn, one
+    group-by."""
+    convs = edges.filter(edges["is_turn"]).select(["key", "val"]) \
+        .rename_columns(["key", "conv"])
+    ents = edges.filter(pc.invert(edges["is_turn"])) \
+        .select(["key", "val"]).rename_columns(["key", "entity"])
+    g = convs.join(ents, "key", join_type="inner") \
+        .group_by(["conv", "entity"]).aggregate([([], "count_all")])
+    return pa.table({"conv": g["conv"], "entity": g["entity"],
+                     "n_part": g["count_all"].cast(pa.int64())})
 
 
 def conv_entity_mentions(sf_dir: str):
     """quads-with-mentions → (conv, entity, n_mentions): the number of
     turns of each conversation that mention each entity IRI.
 
-    Shape: one filtered pass tags the two triple patterns and buckets
-    them by the shared join variable's hash (every turn's rows
-    co-locate); each bucket does one vectorized pandas merge + partial
-    (conv, entity) count; a final small groupby sums partials.
+    Shape: one filtered pass keys the two triple patterns on the shared
+    join variable (``_bgp_edges``), ``_per_block`` on it puts every
+    turn's rows in one block, each block joins and counts
+    (``_join_block``), and a final small groupby sums the partials.
     Reference query surface: jsonld.js users run this class of query
     via RDF stores after toRDF (lib/jsonld.js toRDF + downstream
     SPARQL); the engine makes it a native dataset operator."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
-    from ..stages.assemble import CONV_VOCAB
-
-    has_turn = CONV_VOCAB + "hasTurn"
-    mentions = CONV_VOCAB + "mentions"
-    quads = build_quads(sf_dir, entity_mapping={})
-
-    def edges(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(batch["pred"],
-                        value_set=pa.array([has_turn, mentions]))
-        t = batch.filter(keep)
-        is_h = pc.equal(t["pred"], has_turn).to_numpy(
-            zero_copy_only=False)
-        subj = t["subj"].to_numpy(zero_copy_only=False)
-        obj = t["obj_value"].to_numpy(zero_copy_only=False)
-        key = np.where(is_h, obj, subj)           # the turn IRI
-        val = np.where(is_h, subj, obj)           # conv | entity
-        bucket = (pd.util.hash_array(key.astype(object))
-                  % BGP_JOIN_BUCKETS).astype(np.int32)
-        return pa.table({
-            "key": pa.array(key, pa.string()),
-            "val": pa.array(val, pa.string()),
-            "side": pa.array(is_h.astype(np.int8)),
-            "bucket": pa.array(bucket),
-        })
-
-    def join_in_bucket(g: "pd.DataFrame") -> pa.Table:
-        h = g[g["side"] == 1][["key", "val"]].rename(
-            columns={"val": "conv"})
-        m = g[g["side"] == 0][["key", "val"]].rename(
-            columns={"val": "entity"})
-        merged = h.merge(m, on="key")
-        part = merged.groupby(["conv", "entity"], sort=False) \
-            .size().reset_index(name="n_part")
-        return pa.table({
-            "conv": pa.array(part["conv"], pa.string()),
-            "entity": pa.array(part["entity"], pa.string()),
-            "n_part": pa.array(part["n_part"].to_numpy()
-                               .astype(np.int64)),
-        })
-
-    parts = quads.map_batches(edges, batch_format="pyarrow") \
-        .groupby("bucket").map_groups(join_in_bucket,
-                                      batch_format="pandas")
-    return parts.groupby(["conv", "entity"]).aggregate(
-        Sum("n_part", alias_name="n_mentions"))
+    edges = build_quads(sf_dir, entity_mapping={}).map_batches(
+        _bgp_edges, batch_format="pyarrow")
+    return _per_block(edges, "key", _join_block).groupby(
+        ["conv", "entity"]).aggregate(Sum("n_part", alias_name="n_mentions"))

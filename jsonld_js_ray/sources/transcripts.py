@@ -15,11 +15,16 @@ is expressed both as a Ray Data pipeline (here) and as DuckDB SQL
     text     = event_type || ' ' || props
     tool     = event_type
     ts       = ts
+
+Ray derives every user of a block at once (``transcripts_block``);
+the flagship's block kernel shares its turn sort and rules.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+
+from ..rayutil import event_files, per_block, read_events, run_starts
 
 ROLE_MAP = {
     "click": "user",
@@ -71,42 +76,46 @@ def turn_text(event_type, props):
     return pc.binary_join_element_wise(event_type, props, " ")
 
 
-def derive_turns_from_events(group: pa.Table) -> pa.Table:
-    """One events group (single user_id) → transcript rows, sorted by
-    (ts, event_id). Used inside ``groupby('user_id').map_groups``."""
+def sort_turns(events: pa.Table, keys: list[str]
+               ) -> tuple[pa.Table, list[int]]:
+    """``events`` sorted on ``(*keys, ts, event_id)`` and the offsets of
+    its runs of equal ``keys`` (``run_starts``): each run is one
+    conversation, its rows the turns in ``turn_idx`` order."""
     import pyarrow.compute as pc
 
-    order = pc.sort_indices(
-        group, sort_keys=[("ts", "ascending"), ("event_id", "ascending")])
-    g = group.take(order)
-    n = g.num_rows
-    user_id = g["user_id"][0].as_py()
+    t = events.take(pc.sort_indices(events, sort_keys=[
+        (k, "ascending") for k in (*keys, "ts", "event_id")]))
+    return t, run_starts(t, keys)
+
+
+def transcripts_block(events: pa.Table) -> pa.Table:
+    """Events of any number of users → their transcript rows: one sort,
+    then ``turn_idx`` = row − start of its user's run."""
+    import numpy as np
+    import pyarrow.compute as pc
+
+    t, starts = sort_turns(events, ["user_id"])
+    firsts = np.asarray(starts[:-1], dtype=np.int64)
+    turn_idx = np.arange(t.num_rows, dtype=np.int64) \
+        - np.repeat(firsts, np.diff(starts))
     return pa.table({
-        "conv_id": [f"conv-{user_id}"] * n,
-        "turn_idx": range(n),
-        "role": turn_roles(g["event_type"].to_pylist()),
-        "text": turn_text(g["event_type"], g["props"]).cast(
-            pa.large_string()),
-        "tool": g["event_type"],
-        "ts": g["ts"],
+        "conv_id": pc.binary_join_element_wise(
+            "conv-", t["user_id"].cast(pa.string()), ""),
+        "turn_idx": turn_idx.astype(np.int32),
+        "role": turn_roles(t["event_type"].to_pylist()),
+        "text": turn_text(t["event_type"], t["props"]),
+        "tool": t["event_type"],
+        "ts": t["ts"],
     }, schema=TRANSCRIPT_SCHEMA)
 
 
-def read_transcripts(sf_dir: str, parallelism: int | None = None):
-    """events parquet → transcript Dataset (one shuffle: groupby user_id).
-
-    Column-pruned at the read; the groupby is the pipeline's first (and,
-    fused with document assembly, usually only) all-to-all exchange.
-    """
-    import ray.data as rd
-
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "props"],
-    ).map_batches(lambda t: t.replace_schema_metadata(None),
-                  batch_format="pyarrow", zero_copy_batch=True)
-    return events.groupby("user_id").map_groups(
-        derive_turns_from_events, batch_format="pyarrow")
+def read_transcripts(sf_dir: str):
+    """events parquet (one file or an ``events/`` directory of shards) →
+    transcript Dataset: the shared events read, then ``per_block`` on
+    ``user_id`` (the one shuffle) and ``transcripts_block`` per block,
+    so a user's events in several files make one conversation."""
+    return per_block(read_events(event_files(sf_dir)), "user_id",
+                     transcripts_block)
 
 
 def synthesize_transcripts(n_convs: int = 20, max_turns: int = 12,

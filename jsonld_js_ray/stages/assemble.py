@@ -131,25 +131,6 @@ def conversation_docs(
             for i, chunk in enumerate(chunks)]
 
 
-def _run_starts(t: pa.Table, keys: list[str]) -> list[int]:
-    """Offsets where a run of equal ``keys`` starts in the sorted table
-    ``t``, then ``t.num_rows``. Null equals null, as in a group-by."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    n = t.num_rows
-    if n == 0:
-        return [0]
-    change = np.zeros(n - 1, dtype=bool)
-    for key in keys:
-        col = t[key].combine_chunks()
-        a, b = col.slice(1), col.slice(0, n - 1)
-        ne = pc.or_(pc.fill_null(pc.not_equal(a, b), False),
-                    pc.not_equal(pc.is_null(a), pc.is_null(b)))
-        change |= ne.to_numpy(zero_copy_only=False)
-    return [0, *(np.flatnonzero(change) + 1).tolist(), n]
-
-
 def _ts_strings(ts: pa.ChunkedArray) -> list[str | None]:
     """``format_ts`` of every value: one Arrow ``strftime`` for a
     timestamp[us] column (its ``%S`` carries the microseconds), except
@@ -178,15 +159,11 @@ def assemble_events_block(events: pa.Table,
     ``mapping`` (surface → canonical surface) links every turn's
     mentions (``linker.link_mentions``, one call per block); None
     links none. Documents come in key order."""
-    import pyarrow.compute as pc
-
-    from ..sources.transcripts import turn_roles, turn_text
+    from ..sources.transcripts import sort_turns, turn_roles, turn_text
     from .linker import link_mentions
 
     keys = [k for k in ("part_id", "user_id") if k in events.column_names]
-    t = events.take(pc.sort_indices(events, sort_keys=[
-        (k, "ascending") for k in (*keys, "ts", "event_id")]))
-    starts = _run_starts(t, keys)
+    t, starts = sort_turns(events, keys)
     firsts = pa.array(starts[:-1], pa.int64())
     users = t["user_id"].take(firsts).to_pylist()
     parts = t["part_id"].take(firsts).to_pylist() if "part_id" in keys \

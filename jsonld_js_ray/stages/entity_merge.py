@@ -18,9 +18,10 @@ the driver:
   1. character-3-gram MinHash (crc32-based permutations —
      process-stable, unlike Python's salted hash()) → LSH band explode
      (map_batches over the aggregated vocab);
-  2. ``groupby(band_id, band_hash)`` — IN-BUCKET Jaccard verification
-     (the surfaces are the group rows, so no text fetch) → verified
-     edge Dataset;
+  2. ``per_block`` on ``(band_id, band_hash)`` (the package's one
+     shuffle idiom: sort, then one call per whole block) — IN-BUCKET
+     Jaccard verification per run of one bucket (the surfaces are the
+     bucket's rows, so no text fetch) → verified edge Dataset;
   3. ``build_canonical_mapping``: an O(|verified edges|) union-find on
      the driver — connected components with the lexicographic-min
      surface as the canonical label, exact for any chain length.
@@ -37,6 +38,8 @@ import zlib
 
 import numpy as np
 import pyarrow as pa
+
+from ..rayutil import per_block, run_starts
 
 NUM_PERMS = 64
 BANDS = 16          # 16 bands × 4 rows
@@ -215,13 +218,15 @@ class SigBandExplode:
 
 
 MAX_BUCKET_MEMBERS = 142     # ~MAX_PAIRS_PER_BUCKET verification pairs
+EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string())])
 
 
 def _bucket_edges(g, threshold: float, strict: bool = False):
-    """One LSH bucket's surfaces → verified SYMMETRIC edges (src, dst)
-    for the union-find closure. Verification is IN-BUCKET: both strings are
-    group rows, no driver fetch. Returns a TYPED arrow table so every
-    downstream block is arrow (mixed block types break Ray's sort).
+    """One LSH bucket's surfaces (``g["surface"]``) → verified SYMMETRIC
+    edges (src, dst) for the union-find closure. Verification is
+    IN-BUCKET: both strings are bucket rows, no driver fetch. Returns a
+    TYPED arrow table so every downstream block is arrow (mixed block
+    types break Ray's sort).
     Degenerate buckets are capped — warned, or raised under ``strict``
     (``_cap_event``: never silent)."""
     members = sorted(set(g["surface"]))
@@ -238,26 +243,35 @@ def _bucket_edges(g, threshold: float, strict: bool = False):
             if jaccard(members[i], members[j]) >= threshold:
                 src.extend((members[i], members[j]))
                 dst.extend((members[j], members[i]))
-    return pa.table({"src": pa.array(src, pa.string()),
-                     "dst": pa.array(dst, pa.string())})
+    return pa.table({"src": src, "dst": dst}, schema=EDGE_SCHEMA)
+
+
+def _verify_block(banded: pa.Table, threshold: float,
+                  strict: bool) -> pa.Table:
+    """Band rows sorted on ``(band_id, band_hash)`` → the verified edges
+    of every bucket in the block, ``_bucket_edges`` once per bucket."""
+    starts = run_starts(banded, ["band_id", "band_hash"])
+    surfaces = banded["surface"].to_pylist()
+    return pa.concat_tables([
+        _bucket_edges({"surface": surfaces[a:b]}, threshold, strict)
+        for a, b in zip(starts, starts[1:])] or [EDGE_SCHEMA.empty_table()])
 
 
 def verified_edges(stats, threshold: float = 0.6,
                    strict_caps: bool = False):
     """vocab Dataset (surface, ...) → deduplicated verified edge Dataset
-    (src, dst), symmetric. Banding + verification run inside the band
-    groupby; the (band-deduplicated) edge set comes from a second tiny
-    groupby — nothing vocabulary-sized reaches the driver."""
+    (src, dst), symmetric. Banding + verification run per block of the
+    band sort (``_verify_block``); the (band-deduplicated) edge set
+    comes from a second tiny groupby — nothing vocabulary-sized reaches
+    the driver."""
     import functools
 
     from ray.data.aggregate import Count
 
     banded = stats.map_batches(SigBandExplode(), batch_format="pyarrow",
                                batch_size=8192)
-    edges = banded.groupby(["band_id", "band_hash"]).map_groups(
-        functools.partial(_bucket_edges, threshold=threshold,
-                          strict=strict_caps),
-        batch_format="pandas")
+    edges = per_block(banded, ["band_id", "band_hash"], functools.partial(
+        _verify_block, threshold=threshold, strict=strict_caps))
     # same pair often fires in several bands → dedupe with a groupby
     return edges.groupby(["src", "dst"]).aggregate(
         Count(alias_name="_n")).drop_columns(["_n"])

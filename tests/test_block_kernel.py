@@ -1,6 +1,8 @@
 """The events → documents block kernel (``assemble_events_block``):
 one sort per block, turn derivation and mention linking vectorised,
-one conversation per run of one (part_id, user_id). No Ray needed."""
+one conversation per run of one (part_id, user_id); and the block
+functions built on it or on its turn sort (transcripts, the compact
+and flatten counts). No Ray needed."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from datetime import datetime
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 
 from jsonld_js_ray.stages import assemble
 from jsonld_js_ray.stages.assemble import (
@@ -173,3 +176,53 @@ def test_quads_block_batches_per_part():
                               batch_size=256, skip_errors=False,
                               mapping_ref=None))
     assert len(plain) == 1 and "part_id" not in plain[0].column_names
+
+
+def test_transcripts_block_matches_sql(sf_dir):
+    """Every user of a block at once, as ``TRANSCRIPTS_SQL`` derives
+    them: ``turn_idx`` restarts at 0 for each user."""
+    import duckdb
+
+    from jsonld_js_ray.sources.transcripts import (
+        TRANSCRIPT_SCHEMA, TRANSCRIPTS_SQL, transcripts_block,
+    )
+
+    # DuckDB's replacement scan reads ``events`` from this frame
+    events = pq.read_table(f"{sf_dir}/events.parquet", columns=[
+        "event_id", "ts", "user_id", "event_type", "props"])
+    got = transcripts_block(events)
+    assert got.schema.equals(TRANSCRIPT_SCHEMA)
+    exp = duckdb.sql(TRANSCRIPTS_SQL).arrow().cast(TRANSCRIPT_SCHEMA)
+    keys = [(c, "ascending") for c in ("conv_id", "turn_idx")]
+    assert got.sort_by(keys).equals(exp.sort_by(keys))
+    assert transcripts_block(events.slice(0, 0)).schema.equals(
+        TRANSCRIPT_SCHEMA)
+
+
+@pytest.mark.parametrize("fn_name, column, per_conv", [
+    ("_compact_counts_block", "n_turns", 0),
+    ("_flatten_counts_block", "n_nodes", 1),
+])
+def test_doc_counts_sum_chunks_per_conversation(monkeypatch, fn_name,
+                                                column, per_conv):
+    """One row per conversation however it is chunked: hasTurn values
+    after compact∘expand (the turn count), flattened nodes (turns + the
+    conversation node)."""
+    from jsonld_js_ray.pipelines import kg
+
+    fn = getattr(kg, fn_name)
+    rows = [(i, _ts(i), 1, "view", f"v{i}") for i in range(7)] + \
+        [(100 + i, _ts(i), 2, "click", f"c{i}") for i in range(2)] + \
+        [(200, _ts(0), 0, "error", "e")]
+    expected = {"conv-0": 1 + per_conv, "conv-1": 7 + per_conv,
+                "conv-2": 2 + per_conv}
+
+    def counts(t):
+        assert t.column_names == ["conv_id", column]
+        assert t[column].type == pa.int64()
+        return dict(zip(t["conv_id"].to_pylist(), t[column].to_pylist()))
+
+    assert counts(fn(_events(rows))) == expected
+    monkeypatch.setattr(assemble, "MAX_TURNS_PER_DOC", 3)
+    assert len(assemble_events_block(_events(rows))) == 5
+    assert counts(fn(_events(rows))) == expected

@@ -198,6 +198,21 @@ def test_user_split_over_files_yields_one_doc_per_file(
     assert (docs > 1).any()             # one conv_id, one doc per file
 
 
+def test_read_transcripts_over_split_files(ray_session, sf_dir,
+                                           split_sf_dir):
+    """The ``events/`` directory layout derives the same transcript rows
+    as the one file: per ``TRANSCRIPTS_SQL``, a user whose events span
+    two files is one conversation."""
+    from jsonld_js_ray.sources.transcripts import read_transcripts
+
+    def rows(d: str) -> Counter:
+        return Counter(tuple(sorted(r.items()))
+                       for r in read_transcripts(d).take_all())
+
+    whole = rows(sf_dir)
+    assert rows(split_sf_dir) == whole and sum(whole.values()) > 0
+
+
 def test_lost_part_redoes_exactly_its_shard(
         ray_session, split_sf_dir, split_expected, tmp_path):
     """A done shard whose part file was deleted is rewritten on the next
@@ -669,6 +684,24 @@ def test_distributed_merge_matches_oracle(ray_session, sf_dir):
     a = mine[cols].sort_values(cols).reset_index(drop=True)
     b = orc[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b.astype(a.dtypes.to_dict()))
+
+
+@pytest.mark.parametrize("name", ["kg_compact_roundtrip",
+                                  "kg_flatten_counts"])
+def test_doc_count_queries_match_oracle(ray_session, sf_dir, name):
+    import duckdb
+
+    import __ray_entry__ as E
+
+    mine = E.queries()[name](sf_dir).to_pandas()
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM "
+            f"'{sf_dir}/events.parquet'")
+    orc = con.sql(E.oracle_sql()[name]).df()
+    cols = sorted(mine.columns)
+    a = mine[cols].sort_values(cols).reset_index(drop=True)
+    b = orc[cols].sort_values(cols).reset_index(drop=True)
+    assert len(a) > 0 and a.equals(b.astype(a.dtypes.to_dict()))
 
 
 def test_label_propagation_chain_cluster(ray_session):

@@ -83,3 +83,31 @@ def test_no_unreferenced_top_level_name_in_the_package():
     assert len(defined) > 100, "too few names: the AST walk is broken"
     assert sorted(d for d in defined if d.rsplit(":", 1)[1] not in used) \
         == []
+
+
+def _second_shuffle_idiom(tree: ast.AST) -> list[str]:
+    """``.map_groups(`` calls and ``batch_format="pandas"`` arguments,
+    by line."""
+    hits: list[str] = []
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Attribute) and n.func.attr == "map_groups":
+            hits.append(f"{n.lineno}:map_groups")
+        hits.extend(f"{n.lineno}:pandas" for kw in n.keywords
+                    if kw.arg == "batch_format"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value == "pandas")
+    return hits
+
+
+def test_one_shuffle_idiom_in_the_package():
+    """Every group UDF in ``jsonld_js_ray`` runs through
+    ``rayutil.per_block`` (sort on the key, then one call per whole
+    Arrow block): no module calls ``.map_groups(`` or asks Ray for
+    pandas batches."""
+    files = sorted((REPO / "jsonld_js_ray").rglob("*.py"))
+    assert len(files) > 20, "too few modules: the walk is broken"
+    assert [f"{f.relative_to(REPO)}:{hit}" for f in files
+            for hit in _second_shuffle_idiom(ast.parse(f.read_text()))] \
+        == []

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -92,8 +93,13 @@ def main() -> int:
 
     logging.getLogger("ray.data").setLevel(logging.WARNING)
     logging.getLogger("ray").setLevel(logging.WARNING)
+    # the CPUs this process may run on, not the machine's count: a
+    # larger num_cpus oversubscribes the box and the walls mean little
+    num_cpus = len(os.sched_getaffinity(0))
+    loadavg = [round(x, 2) for x in os.getloadavg()]   # before the sweep
+    print(f"num_cpus={num_cpus} loadavg={loadavg}", flush=True)
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False,
+        ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
                  ignore_reinit_error=True)
 
     import __ray_entry__ as entrymod
@@ -162,6 +168,8 @@ def main() -> int:
 
     summary = {
         "sf_dir": args.sf_dir,
+        "num_cpus": num_cpus,
+        "loadavg": loadavg,
         "n_queries": len(results),
         "n_pass": n_pass,
         "n_no_oracle": n_noor,
