@@ -97,28 +97,24 @@ def _q_kg_mentions(sf_dir: str):
         ["conv_id", "turn_idx", "surface"])
 
 def _q_kg_entities(sf_dir: str):
-    from jsonld_js_ray.sources.transcripts import read_transcripts
     from jsonld_js_ray.stages.entity_merge import surface_stats
-    from jsonld_js_ray.stages.linker import detect_mentions
+    from jsonld_js_ray.stages.linker import event_mentions
 
-    return surface_stats(detect_mentions(read_transcripts(sf_dir)))
+    return surface_stats(event_mentions(sf_dir))
 
 def _q_kg_entities_canonical(sf_dir: str):
-    from jsonld_js_ray.sources.transcripts import read_transcripts
     from jsonld_js_ray.stages.entity_merge import canonicalize_entities
-    from jsonld_js_ray.stages.linker import detect_mentions
+    from jsonld_js_ray.stages.linker import event_mentions
 
-    return canonicalize_entities(detect_mentions(read_transcripts(sf_dir)))
+    return canonicalize_entities(event_mentions(sf_dir))
 
 def _q_kg_entities_canonical_planted(sf_dir: str):
-    from jsonld_js_ray.sources.transcripts import read_transcripts
     from jsonld_js_ray.stages.entity_merge import (
         canonicalize_entities_planted,
     )
-    from jsonld_js_ray.stages.linker import detect_mentions
+    from jsonld_js_ray.stages.linker import event_mentions
 
-    return canonicalize_entities_planted(
-        detect_mentions(read_transcripts(sf_dir)))
+    return canonicalize_entities_planted(event_mentions(sf_dir))
 
 def _q_kg_conv_entity_mentions(sf_dir: str):
     from jsonld_js_ray.pipelines.kg import conv_entity_mentions

@@ -59,10 +59,9 @@ def run_bench() -> dict:
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
 
+    import __ray_entry__ as _entry0
     from jsonld_js_ray.pipelines.kg import build_quads
     from jsonld_js_ray.sources.transcripts import read_transcripts
-    from jsonld_js_ray.stages.entity_merge import surface_stats
-    from jsonld_js_ray.stages.linker import detect_mentions
 
     _warm_cache(SF_DIR)
     # Warm-up before timing (startup is not throughput): a trivial job
@@ -114,7 +113,6 @@ def run_bench() -> dict:
     # assemble → write sharded JSON-LD lines → read back → ToRdf
     import shutil as _sh
 
-    import __ray_entry__ as _entry0
     t0 = time.perf_counter()
     _entry0.queries()["kg_quads_jsonl"](SF_DIR).count()
     queries["kg_quads_jsonl"] = round(time.perf_counter() - t0, 3)
@@ -127,14 +125,10 @@ def run_bench() -> dict:
         _sh.rmtree(d, ignore_errors=True)
     _entry0.SCRATCH_DIRS.clear()
 
-    t0 = time.perf_counter()
-    surface_stats(detect_mentions(read_transcripts(SF_DIR))).count()
-    queries["kg_entities"] = round(time.perf_counter() - t0, 3)
-
-    from jsonld_js_ray.stages.entity_merge import canonicalize_entities
-    t0 = time.perf_counter()
-    canonicalize_entities(detect_mentions(read_transcripts(SF_DIR))).count()
-    queries["kg_entities_canonical"] = round(time.perf_counter() - t0, 3)
+    for name in ("kg_entities", "kg_entities_canonical"):
+        t0 = time.perf_counter()
+        _entry0.queries()[name](SF_DIR).count()
+        queries[name] = round(time.perf_counter() - t0, 3)
 
     # full north-star run incl. entity canonicalization + sharded sink
     import shutil as _shutil

@@ -6,7 +6,7 @@ theowenyoung/jsonld.js (JSON-LD 1.1 processor) as a Ray Data engine:
 - ``jsonld_js_ray.api``: document-level operators (expand, compact,
   flatten, frame, toRDF, fromRDF, canonize, merge) — pure Python, used
   per-row inside Arrow batches.
-- ``jsonld_js_ray.stages``: Ray Data ``map_batches`` stages / actor pools.
+- ``jsonld_js_ray.stages``: Ray Data ``map_batches`` stages.
 - ``jsonld_js_ray.pipelines``: end-to-end pipelines (transcripts → RDF).
 - ``jsonld_js_ray.sources`` / ``state``: IO + checkpoint/lineage.
 

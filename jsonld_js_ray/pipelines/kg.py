@@ -71,6 +71,10 @@ from ..stages.assemble import (
 from ..stages.to_rdf_stage import QUAD_SCHEMA, rows_from_parsed_task_fn
 from ..state import checkpoint as ckpt
 
+# conversations per ToRdf call and per output table: moderate, so a
+# giant block streams out in pieces (SURVEY.md §4.3 stragglers row)
+DOCS_PER_BATCH = 256
+
 
 def _put(entity_mapping: dict | None):
     """Broadcast the mapping once with ray.put; each block reads it."""
@@ -125,8 +129,6 @@ def assemble_docs(sf_dir: str, files: list[str] | None = None,
 
 
 def build_quads(sf_dir: str, files: list[str] | None = None,
-                concurrency: int | tuple | None = None,
-                batch_size: int = 256,
                 skip_errors: bool = False,
                 entity_mapping: dict | None = None):
     """Full lazy pipeline: events → docs → canonical quad Dataset.
@@ -140,15 +142,11 @@ def build_quads(sf_dir: str, files: list[str] | None = None,
     ToRdf singleton holding the context caches — measured 2-3x faster
     than an autoscaling actor pool at this state size (see
     stages/to_rdf_stage.rows_from_parsed_task_fn).
-
-    ``batch_size`` counts CONVERSATIONS per ToRdf call and output table
-    — moderate so a giant block streams out in pieces (SURVEY.md §4.3
-    stragglers row).
     """
     events = _read_events(files or _event_files(sf_dir))
     return _per_block(events, "user_id", functools.partial(
-        _quads_block, batch_size=batch_size, skip_errors=skip_errors,
-        mapping_ref=_put(entity_mapping)), concurrency)
+        _quads_block, batch_size=DOCS_PER_BATCH, skip_errors=skip_errors,
+        mapping_ref=_put(entity_mapping)))
 
 
 # --- the resumable sink: one execution, per-shard commits -------------
@@ -163,8 +161,8 @@ def _tag_parts(t: pa.Table, part_of: dict[str, int]) -> pa.Table:
         "part_id", ids.take(paths.indices)))
 
 
-def _shard_quads(pending: dict[int, tuple[str, str]], *, batch_size: int,
-                 concurrency, entity_mapping: dict | None):
+def _shard_quads(pending: dict[int, tuple[str, str]],
+                 entity_mapping: dict | None):
     """One lazy Dataset over every pending events file: read with paths →
     sort on (part_id, user_id) → the block kernel. Keying on the shard
     too keeps each file's output what a per-file run gives: a user whose
@@ -175,8 +173,8 @@ def _shard_quads(pending: dict[int, tuple[str, str]], *, batch_size: int,
                           functools.partial(_tag_parts, part_of=part_of),
                           include_paths=True)
     return _per_block(events, ["part_id", "user_id"], functools.partial(
-        _quads_block, batch_size=batch_size, skip_errors=True,
-        mapping_ref=_put(entity_mapping)), concurrency)
+        _quads_block, batch_size=DOCS_PER_BATCH, skip_errors=True,
+        mapping_ref=_put(entity_mapping)))
 
 
 def _move_parts(src: str, rec: "ckpt.ShardRecord", tmp_dir: str) -> None:
@@ -195,9 +193,7 @@ def _move_parts(src: str, rec: "ckpt.ShardRecord", tmp_dir: str) -> None:
 
 
 def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
-                batch_size: int, resume: bool,
-                concurrency: int | None = None,
-                entity_mapping: dict | None = None) -> dict:
+                resume: bool, entity_mapping: dict | None = None) -> dict:
     """The sink both runners share. Shard = one input events file
     (resume unit; 100 TB inputs are many files), written to
     ``out_dir/shard=N/*.parquet`` with per-shard lineage JSON.
@@ -238,10 +234,8 @@ def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
     run_tmp = ckpt.temp_dir(out_dir, "run")
     try:
         t0 = time.perf_counter()
-        _shard_quads(pending, batch_size=batch_size,
-                     concurrency=concurrency,
-                     entity_mapping=entity_mapping,
-                     ).write_parquet(run_tmp, partition_cols=["shard"])
+        _shard_quads(pending, entity_mapping).write_parquet(
+            run_tmp, partition_cols=["shard"])
         metrics["wall_ms"] = int((time.perf_counter() - t0) * 1000)
         for shard_id, (path, fp) in pending.items():
             rec = ckpt.ShardRecord(
@@ -259,15 +253,10 @@ def _run_shards(sf_dir: str, out_dir: str, files: list[str], *,
     return metrics
 
 
-def run_kg_pipeline(sf_dir: str, out_dir: str,
-                    concurrency: int | None = None,
-                    batch_size: int = 256,
-                    resume: bool = True) -> dict:
+def run_kg_pipeline(sf_dir: str, out_dir: str, resume: bool = True) -> dict:
     """Execute the flagship pipeline with a resumable partitioned sink
     (``_run_shards``). Returns run metrics."""
-    return _run_shards(sf_dir, out_dir, _event_files(sf_dir),
-                       batch_size=batch_size, resume=resume,
-                       concurrency=concurrency)
+    return _run_shards(sf_dir, out_dir, _event_files(sf_dir), resume=resume)
 
 
 def _roundtrip_block(quads: pa.Table) -> pa.Table:
@@ -330,20 +319,18 @@ def compact_roundtrip_turn_counts(sf_dir: str):
 
 
 def build_entity_mapping(sf_dir: str, threshold: float = 0.6) -> dict:
-    """Phase 1 of the full pipeline: mention stream → salted surface
-    stats → min-hash near-dup merge → surface→canonical dict (the
-    broadcast small side for phase 2; see
-    ``entity_merge.build_canonical_mapping``)."""
-    from ..sources.transcripts import read_transcripts
+    """Phase 1 of the full pipeline: mention stream (one map over the
+    events, no shuffle) → salted surface stats → min-hash near-dup
+    merge → surface→canonical dict (the broadcast small side for phase
+    2; see ``entity_merge.build_canonical_mapping``)."""
     from ..stages.entity_merge import build_canonical_mapping, surface_stats
-    from ..stages.linker import detect_mentions
+    from ..stages.linker import event_mentions
 
-    mentions = detect_mentions(read_transcripts(sf_dir))
-    return build_canonical_mapping(surface_stats(mentions), threshold)
+    return build_canonical_mapping(surface_stats(event_mentions(sf_dir)),
+                                   threshold)
 
 
 def run_full_kg_pipeline(sf_dir: str, out_dir: str,
-                         batch_size: int = 256,
                          resume: bool = True,
                          threshold: float = 0.6) -> dict:
     """The complete north-star flow, resumable:
@@ -383,8 +370,8 @@ def run_full_kg_pipeline(sf_dir: str, out_dir: str,
                        "mapping": mapping}, f)
         os.rename(tmp, map_path)
 
-    metrics = _run_shards(sf_dir, out_dir, files, batch_size=batch_size,
-                          resume=resume, entity_mapping=mapping)
+    metrics = _run_shards(sf_dir, out_dir, files, resume=resume,
+                          entity_mapping=mapping)
     metrics["entities"] = len(mapping)
     metrics["canonical_entities"] = len(set(mapping.values()))
     if metrics["wall_ms"]:

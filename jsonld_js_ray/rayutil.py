@@ -6,7 +6,6 @@ Python call per group as ``groupby(...).map_groups`` makes."""
 from __future__ import annotations
 
 import glob
-from typing import Any
 
 import pyarrow as pa
 
@@ -42,16 +41,12 @@ def read_events(files: list[str], fn=strip_meta, **read_kwargs):
     ).map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def per_block(ds, keys, fn, concurrency=None):
+def per_block(ds, keys, fn):
     """Sort on the group ``keys``, then ``fn`` once per whole block: the
     rows of one key never span two blocks, and each block is sorted on
     ``keys``."""
-    kwargs: dict[str, Any] = {}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
     return ds.sort(keys).map_batches(
-        fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True,
-        **kwargs)
+        fn, batch_size=None, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def run_starts(t: pa.Table, keys: list[str]) -> list[int]:

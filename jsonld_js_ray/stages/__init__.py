@@ -1,1 +1,1 @@
-"""Ray Data stages: batch transforms and actor pools for the KG pipeline."""
+"""Ray Data stages: batch transforms for the KG pipeline."""

@@ -151,10 +151,8 @@ def jaccard(a: str, b: str) -> float:
 class SaltedPartialCount:
     """map_batches: mention rows → partial (surface, salt, n) rows.
     Pre-aggregation inside the batch → the subsequent groupby moves
-    ~|vocab|·S tiny rows instead of every mention."""
-
-    def __init__(self, num_salts: int = DEFAULT_SALTS) -> None:
-        self.num_salts = num_salts
+    ~|vocab|·S tiny rows instead of every mention (S =
+    ``DEFAULT_SALTS``)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -169,7 +167,7 @@ class SaltedPartialCount:
         # correctly — the salts never appear in output
         convs = batch["conv_id"].cast(pa.string()).to_pandas()
         salt = (pd.util.hash_array(np.asarray(convs, dtype=object))
-                % self.num_salts).astype("int32")
+                % DEFAULT_SALTS).astype("int32")
         keyed = pa.table({
             "surface": batch["surface"].cast(pa.string()),
             "salt": pa.array(salt),
@@ -183,12 +181,13 @@ class SaltedPartialCount:
         })
 
 
-def surface_stats(mentions, num_salts: int = DEFAULT_SALTS):
-    """mentions Dataset → (surface, n_mentions) via salted two-phase agg."""
+def surface_stats(mentions):
+    """mentions Dataset (conv_id, surface, ...) → (surface, n_mentions)
+    via salted two-phase agg."""
     from ray.data.aggregate import Sum
 
     partials = mentions.map_batches(
-        SaltedPartialCount(num_salts), batch_format="pyarrow",
+        SaltedPartialCount(), batch_format="pyarrow",
         batch_size=65536)
     return partials.groupby("surface").aggregate(
         Sum("n", alias_name="n_mentions"))
@@ -315,7 +314,6 @@ def _add_canonical(batch: pa.Table, mapping_ref) -> pa.Table:
 
 
 def canonicalize_entities(mentions, threshold: float = 0.6,
-                          num_salts: int = DEFAULT_SALTS,
                           strict_caps: bool = False):
     """mentions Dataset → (surface, n_mentions, canonical) Dataset.
 
@@ -327,7 +325,7 @@ def canonicalize_entities(mentions, threshold: float = 0.6,
 
     import ray
 
-    stats = surface_stats(mentions, num_salts).materialize()
+    stats = surface_stats(mentions).materialize()
     mapping = build_canonical_mapping(stats, threshold, strict_caps)
     return stats.map_batches(
         functools.partial(_add_canonical, mapping_ref=ray.put(mapping)),

@@ -1,16 +1,16 @@
 """Mention detection + entity-link scoring.
 
 North-star stage: "each turn's text is run through batched mention
-detection and entity-link scoring (actor-pool map_batches holding the
-linker model and a cached @context/term-definition resolver)".
+detection and entity-link scoring".
 
 The "model" is deterministic and self-contained (no external data): a
-token rule + a scoring function; real deployments would load an NER/EL
-model in ``__init__`` — the Ray-side shape (actor pool, state loaded
-once, batched scoring) is identical. ``_mention_surfaces`` is the one
-engine implementation of the rule: the mention stream
-(``detect_mentions``) and per-turn linking during document assembly
-(``link_mentions``, once per block of turns) both run it.
+token rule + a scoring function, pure Arrow over a batch, so it runs as
+plain ``map_batches`` tasks with no state to hold. ``_mention_surfaces``
+is the one engine implementation of the rule: the entity phase's
+mention stream (``event_mentions``, one map over the event rows), the
+per-turn mention table (``detect_mentions``) and per-turn linking
+during document assembly (``link_mentions``, once per block of turns)
+all run it.
 
 Mention rule (SQL-mirrorable, see MENTIONS_SQL): alphabetic tokens of
 length >= 3, lowercased. Deliberately tiny surface-form cardinality on the
@@ -20,8 +20,10 @@ events-derived corpus → the designated skew source (SURVEY.md §7.4.5).
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..sources.transcripts import TRANSCRIPTS_SQL
+from ..rayutil import event_files, read_events
+from ..sources.transcripts import TRANSCRIPTS_SQL, turn_text
 from .assemble import ENTITY_NS
 
 MENTION_PATTERN = r"[A-Za-z]{3,}"
@@ -48,8 +50,6 @@ def _mention_surfaces(texts) -> tuple[pa.Array, pa.Array]:
     runs and keeping tokens of length ≥ 3, which Arrow's split + list
     kernels express without a per-row Python loop (order preserved by
     list_flatten)."""
-    import pyarrow.compute as pc
-
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
     tokens = pc.split_pattern_regex(pc.fill_null(texts, ""),
@@ -60,32 +60,25 @@ def _mention_surfaces(texts) -> tuple[pa.Array, pa.Array]:
             pc.filter(pc.list_parent_indices(tokens), keep))
 
 
-class MentionDetector:
-    """Actor: transcript batches → mention rows.
+def mention_rows(batch: pa.Table) -> pa.Table:
+    """Transcript rows → mention rows: (conv_id, turn_idx, text) →
+    (conv_id, turn_idx, surface, score, entity_iri), fully vectorized
+    (``_mention_surfaces``)."""
+    import numpy as np
 
-    (conv_id, turn_idx, text) → (conv_id, turn_idx, surface, score,
-    entity_iri), fully vectorized (``_mention_surfaces``)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        surface, parents = _mention_surfaces(batch["text"])
-        lengths = pc.utf8_length(surface).to_numpy(zero_copy_only=False)
-        scores = np.round(
-            np.minimum(1.0, SCORE_BASE + lengths * SCORE_SLOPE),
-            SCORE_DIGITS)
-        conv = pc.take(batch["conv_id"], parents)
-        turn = pc.take(batch["turn_idx"], parents)
-        return pa.table({
-            "conv_id": conv.cast(pa.string()),
-            "turn_idx": turn.cast(pa.int32()),
-            "surface": surface.cast(pa.string()),
-            "score": pa.array(scores, pa.float64()),
-            "entity_iri": pc.binary_join_element_wise(
-                pa.array([ENTITY_NS] * len(surface), pa.string()),
-                surface.cast(pa.string()), ""),
-        })
+    surface, parents = _mention_surfaces(batch["text"])
+    lengths = pc.utf8_length(surface).to_numpy(zero_copy_only=False)
+    scores = np.round(
+        np.minimum(1.0, SCORE_BASE + lengths * SCORE_SLOPE), SCORE_DIGITS)
+    return pa.table({
+        "conv_id": pc.take(batch["conv_id"], parents).cast(pa.string()),
+        "turn_idx": pc.take(batch["turn_idx"], parents).cast(pa.int32()),
+        "surface": surface.cast(pa.string()),
+        "score": pa.array(scores, pa.float64()),
+        "entity_iri": pc.binary_join_element_wise(
+            pa.array([ENTITY_NS] * len(surface), pa.string()),
+            surface.cast(pa.string()), ""),
+    })
 
 
 def link_mentions(texts, mapping: dict[str, str]) -> list[list[str] | None]:
@@ -106,8 +99,27 @@ def link_mentions(texts, mapping: dict[str, str]) -> list[list[str] | None]:
     return out
 
 
-def detect_mentions(transcripts, concurrency=None):
-    """transcripts Dataset → mention Dataset (actor-pool map_batches)."""
-    return transcripts.map_batches(
-        MentionDetector, batch_format="pyarrow", batch_size=4096,
-        concurrency=concurrency if concurrency else (1, 8))
+def detect_mentions(transcripts):
+    """transcripts Dataset → mention Dataset (``mention_rows`` as
+    tasks)."""
+    return transcripts.map_batches(mention_rows, batch_format="pyarrow",
+                                   batch_size=4096)
+
+
+def event_mentions_block(events: pa.Table) -> pa.Table:
+    """Event rows → one (conv_id, surface) row per mention in each row's
+    turn text (``turn_text``), with ``conv_id = 'conv-' || user_id``.
+    No turn order or ``turn_idx`` is needed, so no sort either."""
+    surface, rows = _mention_surfaces(
+        turn_text(events["event_type"], events["props"]))
+    conv = pc.binary_join_element_wise(
+        "conv-", events["user_id"].cast(pa.string()), "")
+    return pa.table({"conv_id": pc.take(conv, rows).cast(pa.string()),
+                     "surface": surface.cast(pa.string())})
+
+
+def event_mentions(sf_dir: str):
+    """events parquet → (conv_id, surface) mention Dataset: one map over
+    the events read (``event_mentions_block``), no shuffle. The input of
+    the entity phase (``entity_merge.surface_stats``)."""
+    return read_events(event_files(sf_dir), fn=event_mentions_block)

@@ -26,7 +26,7 @@ from jsonld_js_ray.stages.to_rdf_stage import ToRdfActor
 def quads_df(ray_session, sf_dir):
     from jsonld_js_ray.pipelines.kg import build_quads
 
-    return build_quads(sf_dir, concurrency=2).to_pandas()
+    return build_quads(sf_dir).to_pandas()
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def test_resume_skips_completed_shards(ray_session, sf_dir, tmp_path):
     from jsonld_js_ray.state.checkpoint import read_manifest
 
     out = str(tmp_path / "kg-out")
-    m1 = run_kg_pipeline(sf_dir, out, concurrency=2)
+    m1 = run_kg_pipeline(sf_dir, out)
     assert m1["shards_skipped"] == 0 and m1["quads"] > 0
     manifest = read_manifest(out)
     assert len(manifest) == m1["shards_total"]
@@ -120,7 +120,7 @@ def test_resume_skips_completed_shards(ray_session, sf_dir, tmp_path):
         assert rec["quads"] == sum(rows for _n, rows, _b in rec["parts"])
         for name, _rows, nbytes in rec["parts"]:
             assert os.path.getsize(os.path.join(shard, name)) == nbytes
-    m2 = run_kg_pipeline(sf_dir, out, concurrency=2)
+    m2 = run_kg_pipeline(sf_dir, out)
     assert m2["shards_skipped"] == m2["shards_total"]
     assert m2["quads"] == 0
 
@@ -309,7 +309,7 @@ def test_mention_detector_kernel():
     2-letter tokens drop, case folds, any non-ASCII character splits a
     token, and long surfaces cap the link score at 1.0."""
     from jsonld_js_ray.stages.assemble import ENTITY_NS
-    from jsonld_js_ray.stages.linker import MentionDetector
+    from jsonld_js_ray.stages.linker import mention_rows
 
     tbl = pa.table({
         "conv_id": pa.array(["c1", "c1", "c2"], pa.string()),
@@ -320,7 +320,7 @@ def test_mention_detector_kernel():
             "ok—Zürich·ANTIDISESTABLISHMENTARIANISM",
         ], pa.string()),
     })
-    out = MentionDetector()(tbl).to_pydict()
+    out = mention_rows(tbl).to_pydict()
     surfaces = ["berlin", "rich", "antidisestablishmentarianism"]
     assert out["surface"] == surfaces
     assert out["conv_id"] == ["c1", "c2", "c2"]
@@ -346,7 +346,7 @@ def test_mentions_and_entity_canonicalization(ray_session):
         "text": pa.array(["Click the click button", "errors happened",
                           "error in clicks"], pa.large_string()),
     })
-    mentions = detect_mentions(rd.from_arrow(tbl), concurrency=1)
+    mentions = detect_mentions(rd.from_arrow(tbl))
     out = canonicalize_entities(mentions).to_pandas()
     by_surface = dict(zip(out["surface"], out["canonical"]))
     # near-dup merge: plural folds onto singular (3-gram jaccard >= 0.6)
@@ -369,8 +369,7 @@ def test_mention_quads_match_oracle(ray_session, sf_dir):
         KG_QUADS_WITH_MENTIONS_ORACLE_SQL,
     )
 
-    mine = build_quads(sf_dir, concurrency=2,
-                       entity_mapping={}).to_pandas()
+    mine = build_quads(sf_dir, entity_mapping={}).to_pandas()
     con = duckdb.connect()
     con.sql(f"CREATE VIEW events AS SELECT * FROM "
             f"'{sf_dir}/events.parquet'")
@@ -436,7 +435,7 @@ def test_salted_aggregation_correct_under_hot_key(ray_session):
                             + [f"cold{i % 50}" for i in range(n_cold)],
                             pa.string()),
     })
-    out = surface_stats(rd.from_arrow(tbl), num_salts=16).to_pandas()
+    out = surface_stats(rd.from_arrow(tbl)).to_pandas()
     by_surface = dict(zip(out["surface"], out["n_mentions"]))
     assert by_surface["hotkey"] == n_hot
     assert sum(by_surface.values()) == n_hot + n_cold
@@ -770,6 +769,80 @@ def test_entities_canonical_planted_oracle(ray_session, sf_dir):
     a = mine[cols].sort_values(cols).reset_index(drop=True)
     b = orc[cols].sort_values(cols).reset_index(drop=True)
     assert a.equals(b.astype(a.dtypes.to_dict()))
+
+
+@pytest.mark.parametrize("layout", ["one_file", "split"])
+@pytest.mark.parametrize("name", ["kg_entities", "kg_entities_canonical"])
+def test_entity_queries_match_oracle(ray_session, sf_dir, request, name,
+                                     layout):
+    """The entity queries read the events directly (one map, no turn
+    sort); on one events file and on the ``events/`` split they equal
+    their DuckDB oracle over the same files."""
+    import duckdb
+
+    import __ray_entry__ as E
+    from jsonld_js_ray.rayutil import event_files
+
+    d = sf_dir if layout == "one_file" else \
+        request.getfixturevalue("split_sf_dir")
+    mine = E.queries()[name](d).to_pandas()
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM "
+            f"read_parquet({event_files(d)!r})")
+    orc = con.sql(E.oracle_sql()[name]).df()
+    cols = sorted(mine.columns)
+    a = mine[cols].sort_values(cols).reset_index(drop=True)
+    b = orc[cols].sort_values(cols).reset_index(drop=True)
+    assert len(a) > 0 and a.equals(b.astype(a.dtypes.to_dict()))
+
+
+ENTITY_MAPPING_DEADLINE_S = 120
+_ENTITY_MAPPING_SCRIPT = """
+import json, sys, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False,
+         object_store_memory=256 * 1024 * 1024)
+from jsonld_js_ray.pipelines.kg import build_entity_mapping
+print(json.dumps(build_entity_mapping(sys.argv[1])), flush=True)
+ray.shutdown()
+"""
+
+
+def test_entity_mapping_finishes_at_one_cpu(ray_session, sf_dir):
+    """Phase 1 must not need a second CPU: under its own
+    ``ray.init(num_cpus=1)`` ``build_entity_mapping`` finishes before
+    the deadline (an actor pool holding the only CPU never did), and
+    gives the mapping this session's does. The child runs in its own
+    process group, which holds its Ray processes too; the group is
+    killed whatever the outcome."""
+    import signal
+    import subprocess
+    import sys
+
+    from jsonld_js_ray.pipelines.kg import build_entity_mapping
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ENTITY_MAPPING_SCRIPT, sf_dir], cwd=repo,
+        env=dict(os.environ, PYTHONPATH=repo, RAY_USAGE_STATS_ENABLED="0"),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=ENTITY_MAPPING_DEADLINE_S)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert out is not None, (
+        f"build_entity_mapping did not finish within "
+        f"{ENTITY_MAPPING_DEADLINE_S} s at num_cpus=1")
+    assert proc.returncode == 0
+    got = json.loads(out.strip().splitlines()[-1])
+    assert got and got == build_entity_mapping(sf_dir)
 
 
 def test_conv_entity_mentions_matches_oracle(ray_session, sf_dir):

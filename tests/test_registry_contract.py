@@ -111,3 +111,38 @@ def test_one_shuffle_idiom_in_the_package():
     assert [f"{f.relative_to(REPO)}:{hit}" for f in files
             for hit in _second_shuffle_idiom(ast.parse(f.read_text()))] \
         == []
+
+
+def _actor_pool_hits(tree: ast.AST, classes: set[str]) -> list[str]:
+    """``concurrency`` keywords and parameters, and ``map_batches``
+    calls handed a class object (which Ray runs as an actor pool), by
+    line."""
+    hits: list[str] = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.arg) and n.arg == "concurrency":
+            hits.append(f"{n.lineno}:concurrency")
+        if not isinstance(n, ast.Call):
+            continue
+        hits.extend(f"{n.lineno}:concurrency" for kw in n.keywords
+                    if kw.arg == "concurrency")
+        if isinstance(n.func, ast.Attribute) and n.func.attr == "map_batches":
+            udf = n.args[0] if n.args else next(
+                (kw.value for kw in n.keywords if kw.arg == "fn"), None)
+            name = getattr(udf, "id", None) or getattr(udf, "attr", None)
+            if name in classes:
+                hits.append(f"{n.lineno}:class {name}")
+    return hits
+
+
+def test_no_actor_pool_in_the_package():
+    """Every ``map_batches`` UDF in ``jsonld_js_ray`` runs as tasks: no
+    module names a ``concurrency`` knob or passes a class object (an
+    actor pool, which can hold the only CPU of a 1-CPU session while
+    the stages it waits on starve)."""
+    files = sorted((REPO / "jsonld_js_ray").rglob("*.py"))
+    trees = {f: ast.parse(f.read_text()) for f in files}
+    classes = {n.name for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)}
+    assert len(files) > 20 and classes, "the walk is broken"
+    assert [f"{f.relative_to(REPO)}:{hit}" for f, tree in trees.items()
+            for hit in _actor_pool_hits(tree, classes)] == []

@@ -29,8 +29,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO))
 
-TABLES = ["events"]
-
 
 def _to_pandas(res):
     import pandas as pd
@@ -115,12 +113,12 @@ def main() -> int:
                   file=sys.stderr)
             return 2
 
+    from jsonld_js_ray.rayutil import event_files
+
+    # the events the engine reads: one file or an events/ directory
     con = duckdb.connect()
-    for t in TABLES:
-        p = Path(args.sf_dir) / f"{t}.parquet"
-        if p.exists():
-            con.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
+    con.execute("CREATE VIEW events AS SELECT * FROM read_parquet("
+                f"{event_files(args.sf_dir)!r})")
 
     results = {}
     n_pass = n_noor = n_fail = 0
