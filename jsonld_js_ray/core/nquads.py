@@ -54,36 +54,40 @@ def parse(input_: str) -> list[tuple]:
     seen: set[tuple] = set()
     for line_no, line in enumerate(
             re.split(r"\r\n|\n|\r", input_), 1):
-        if _EMPTY_RE.match(line):
-            continue
         m = _QUAD_RE.match(line)
         if m is None:
+            # a blank or comment line never matches _QUAD_RE, so it is
+            # looked for only among the lines that fail it
+            if _EMPTY_RE.match(line):
+                continue
             raise JsonLdError(
                 f"N-Quads parse error on line {line_no}.",
                 "jsonld.ParseError", details={"line": line})
         g = m.groups()
         # groups: 0 s_iri, 1 s_bnode, 2 pred_iri, 3 o_iri, 4 o_bnode,
         #         5 o_lit, 6 o_datatype, 7 o_lang, 8 g_iri, 9 g_bnode
+        # IRI groups are taken as is: _IRI excludes the backslash, so
+        # there is no escape in them to undo
         if g[0] is not None:
-            subject = ("NamedNode", _unescape(g[0]))
+            subject = ("NamedNode", g[0])
         else:
             subject = ("BlankNode", g[1])
-        predicate = ("NamedNode", _unescape(g[2]))
+        predicate = ("NamedNode", g[2])
         if g[3] is not None:
-            obj = ("NamedNode", _unescape(g[3]))
+            obj = ("NamedNode", g[3])
         elif g[4] is not None:
             obj = ("BlankNode", g[4])
         else:
             value = _unescape(g[5]) if g[5] is not None else ""
             if g[6] is not None:
-                datatype = _unescape(g[6])
+                datatype = g[6]
             elif g[7] is not None:
                 datatype = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
             else:
                 datatype = XSD_STRING
             obj = ("Literal", value, datatype, g[7])
         if g[8] is not None:
-            graph = ("NamedNode", _unescape(g[8]))
+            graph = ("NamedNode", g[8])
         elif g[9] is not None:
             graph = ("BlankNode", g[9])
         else:

@@ -50,10 +50,9 @@ def docs_to_lines(batch: pa.Table) -> pa.Table:
                  pc.match_substring(col, "\r"))
     if not pc.any(bad).as_py():
         return pa.table({"line": col.cast(pa.large_string())})
-    bad_np = bad.to_numpy(zero_copy_only=False)
     lines = col.to_pylist()
-    for i in range(len(lines)):
-        if bad_np[i]:
+    for i, is_bad in enumerate(bad.to_pylist()):
+        if is_bad:
             lines[i] = json.dumps(json.loads(lines[i]),
                                   separators=(",", ":"))
     return pa.table({"line": pa.array(lines, pa.large_string())})
@@ -62,8 +61,8 @@ def docs_to_lines(batch: pa.Table) -> pa.Table:
 def write_docs_jsonld_lines(docs_ds, out_dir: str,
                             inputs: list[str] | None = None):
     """Document Dataset → directory of ``part-*.jsonl`` files via the
-    shared tmp+rename shard writer (sources/lineio.py); manifest
-    (path, docs) returned as a pandas DataFrame. Pass ``inputs=`` (the
+    shared tmp+rename shard writer (sources/lineio.py); returns the
+    manifest (path, docs) as an Arrow table. Pass ``inputs=`` (the
     source files the docs derive from) to make the write resumable: a
     completed prior write of the same input fingerprint is skipped
     (lineio lineage contract)."""

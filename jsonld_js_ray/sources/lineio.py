@@ -108,10 +108,7 @@ class _LineShardDatasink(Datasink):
     def write(self, blocks, ctx) -> list[tuple[str, int, int]]:
         out: list[tuple[str, int, int]] = []
         for i, block in enumerate(blocks):
-            if isinstance(block, pa.Table):
-                lines = block["line"].to_pylist()
-            else:                      # pandas
-                lines = block["line"].tolist()
+            lines = block["line"].to_pylist()
             if not lines:
                 continue
             name = os.path.join(
@@ -131,12 +128,18 @@ class _LineShardDatasink(Datasink):
             self.manifest_rows.extend(rows)
 
 
+def _manifest_table(paths: list[str], counts: list[int],
+                    count_col: str) -> pa.Table:
+    return pa.table({"path": pa.array(paths, pa.string()),
+                     count_col: pa.array(counts, pa.int64())})
+
+
 def write_line_shards(lines_ds, out_dir: str, ext: str,
                       count_col: str, inputs: list[str] | None = None):
     """Dataset with a ``line`` column → ``part-*.{ext}`` files in
     ``out_dir``. Executes eagerly (the write is a side effect; blocks
     stream through as-is) and returns the manifest (path, {count_col})
-    as a pandas DataFrame.
+    as an Arrow table.
 
     ``inputs``: source files these lines derive from. When given, a
     completed prior write of the same input fingerprint whose parts
@@ -145,18 +148,14 @@ def write_line_shards(lines_ds, out_dir: str, ext: str,
     lineage record for the next run to consult."""
     import time
 
-    import pandas as pd
-
     fp = fingerprint_inputs(inputs) if inputs is not None else None
     if fp is not None:
         prior = read_write_manifest(out_dir)
         if prior and prior.get("input_fingerprint") == fp \
                 and parts_intact(out_dir, prior.get("parts", [])):
-            return pd.DataFrame({
-                "path": [os.path.join(out_dir, p[0])
-                         for p in prior["parts"]],
-                count_col: [p[1] for p in prior["parts"]],
-            })
+            return _manifest_table(
+                [os.path.join(out_dir, p[0]) for p in prior["parts"]],
+                [p[1] for p in prior["parts"]], count_col)
 
     t0 = time.time()
     sink = _LineShardDatasink(out_dir, ext)
@@ -172,7 +171,5 @@ def write_line_shards(lines_ds, out_dir: str, ext: str,
             "wall_ms": int((time.time() - t0) * 1000),
         }
         write_json_atomic(_write_manifest_path(out_dir), record)
-    return pd.DataFrame({
-        "path": [r[0] for r in rows],
-        count_col: [r[1] for r in rows],
-    })
+    return _manifest_table([r[0] for r in rows], [r[1] for r in rows],
+                           count_col)

@@ -91,17 +91,14 @@ def sort_turns(events: pa.Table, keys: list[str]
 def transcripts_block(events: pa.Table) -> pa.Table:
     """Events of any number of users → their transcript rows: one sort,
     then ``turn_idx`` = row − start of its user's run."""
-    import numpy as np
     import pyarrow.compute as pc
 
     t, starts = sort_turns(events, ["user_id"])
-    firsts = np.asarray(starts[:-1], dtype=np.int64)
-    turn_idx = np.arange(t.num_rows, dtype=np.int64) \
-        - np.repeat(firsts, np.diff(starts))
     return pa.table({
         "conv_id": pc.binary_join_element_wise(
             "conv-", t["user_id"].cast(pa.string()), ""),
-        "turn_idx": turn_idx.astype(np.int32),
+        "turn_idx": pa.array([i for a, b in zip(starts, starts[1:])
+                              for i in range(b - a)], pa.int32()),
         "role": turn_roles(t["event_type"].to_pylist()),
         "text": turn_text(t["event_type"], t["props"]),
         "tool": t["event_type"],

@@ -5,7 +5,7 @@ hash ... salting of hot entities").
 Two-phase aggregation (SURVEY.md §4.3 skew row):
 
   phase A  map_batches: per-batch PARTIAL counts per (surface, salt)
-           where salt = stable_hash(conv_id) % S (pandas hash_array,
+           where salt = stable_hash(conv_id) % S (``_hashed_strings``,
            process-stable) — hot surfaces (common roles/tools cover
            most rows) split across S partials, so no single reducer
            sees a hot key's full row stream;
@@ -67,7 +67,8 @@ _MH_B = (_mh_rng.randint(0, 1 << 32, size=NUM_PERMS).astype(np.uint64)
 def _hashed_strings(vals: list) -> np.ndarray:
     """Vectorized process-stable 64-bit hashes of a list of strings
     (pandas hash_array: siphash with a fixed key — C speed, no per-row
-    Python hashing). The MinHash shingles hash through it."""
+    Python hashing). The MinHash shingles and the phase-A salts hash
+    through it."""
     import pandas as pd
 
     if not vals:
@@ -148,37 +149,30 @@ def jaccard(a: str, b: str) -> float:
 
 # --- phase A: salted partial counts ---
 
-class SaltedPartialCount:
+def salted_partial_counts(batch: pa.Table) -> pa.Table:
     """map_batches: mention rows → partial (surface, salt, n) rows.
     Pre-aggregation inside the batch → the subsequent groupby moves
     ~|vocab|·S tiny rows instead of every mention (S =
     ``DEFAULT_SALTS``)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        if batch.num_rows == 0:
-            return pa.table({"surface": pa.array([], pa.string()),
-                             "salt": pa.array([], pa.int32()),
-                             "n": pa.array([], pa.int64())})
-        # vectorized salt: pandas hash_array is process-stable (fixed
-        # siphash key); any deterministic conv→salt function partitions
-        # correctly — the salts never appear in output
-        convs = batch["conv_id"].cast(pa.string()).to_pandas()
-        salt = (pd.util.hash_array(np.asarray(convs, dtype=object))
-                % DEFAULT_SALTS).astype("int32")
-        keyed = pa.table({
-            "surface": batch["surface"].cast(pa.string()),
-            "salt": pa.array(salt),
-        })
-        g = keyed.group_by(["surface", "salt"]).aggregate(
-            [([], "count_all")])
-        return pa.table({
-            "surface": g["surface"],
-            "salt": g["salt"].cast(pa.int32()),
-            "n": g["count_all"].cast(pa.int64()),
-        })
+    if batch.num_rows == 0:
+        return pa.table({"surface": pa.array([], pa.string()),
+                         "salt": pa.array([], pa.int32()),
+                         "n": pa.array([], pa.int64())})
+    # any deterministic conv→salt function partitions correctly — the
+    # salts never appear in output; _hashed_strings is process-stable
+    salt = (_hashed_strings(batch["conv_id"].cast(pa.string()).to_pylist())
+            % DEFAULT_SALTS).astype("int32")
+    keyed = pa.table({
+        "surface": batch["surface"].cast(pa.string()),
+        "salt": pa.array(salt),
+    })
+    g = keyed.group_by(["surface", "salt"]).aggregate(
+        [([], "count_all")])
+    return pa.table({
+        "surface": g["surface"],
+        "salt": g["salt"].cast(pa.int32()),
+        "n": g["count_all"].cast(pa.int64()),
+    })
 
 
 def surface_stats(mentions):
@@ -187,33 +181,29 @@ def surface_stats(mentions):
     from ray.data.aggregate import Sum
 
     partials = mentions.map_batches(
-        SaltedPartialCount(), batch_format="pyarrow",
-        batch_size=65536)
+        salted_partial_counts, batch_format="pyarrow", batch_size=65536)
     return partials.groupby("surface").aggregate(
         Sum("n", alias_name="n_mentions"))
 
 
 # --- distributed near-dup edge generation ---
 
-class SigBandExplode:
+def sig_band_rows(batch: pa.Table) -> pa.Table:
     """map_batches over the vocab: (surface, ...) → BANDS rows
-    (band_id, band_hash, surface)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        surfaces = batch["surface"].to_pylist()
-        out_band: list[int] = []
-        out_hash: list[int] = []
-        out_surf: list[str] = []
-        for s in surfaces:
-            for b_idx, bh in enumerate(band_hashes(minhash_signature(s))):
-                out_band.append(b_idx)
-                out_hash.append(bh)
-                out_surf.append(s)
-        return pa.table({
-            "band_id": pa.array(out_band, pa.int32()),
-            "band_hash": pa.array(out_hash, pa.int64()),
-            "surface": pa.array(out_surf, pa.string()),
-        })
+    (band_id, band_hash, surface) per surface."""
+    out_band: list[int] = []
+    out_hash: list[int] = []
+    out_surf: list[str] = []
+    for s in batch["surface"].to_pylist():
+        for b_idx, bh in enumerate(band_hashes(minhash_signature(s))):
+            out_band.append(b_idx)
+            out_hash.append(bh)
+            out_surf.append(s)
+    return pa.table({
+        "band_id": pa.array(out_band, pa.int32()),
+        "band_hash": pa.array(out_hash, pa.int64()),
+        "surface": pa.array(out_surf, pa.string()),
+    })
 
 
 MAX_BUCKET_MEMBERS = 142     # ~MAX_PAIRS_PER_BUCKET verification pairs
@@ -267,7 +257,7 @@ def verified_edges(stats, threshold: float = 0.6,
 
     from ray.data.aggregate import Count
 
-    banded = stats.map_batches(SigBandExplode(), batch_format="pyarrow",
+    banded = stats.map_batches(sig_band_rows, batch_format="pyarrow",
                                batch_size=8192)
     edges = per_block(banded, ["band_id", "band_hash"], functools.partial(
         _verify_block, threshold=threshold, strict=strict_caps))

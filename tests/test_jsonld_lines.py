@@ -6,6 +6,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from jsonld_js_ray.sources.jsonld_lines import (
@@ -33,8 +34,8 @@ def roundtrip(ray_session):
 
 def test_write_manifest_counts(roundtrip):
     docs, manifest = roundtrip
-    assert manifest["docs"].sum() == docs.count()
-    for p in manifest["path"]:
+    assert pc.sum(manifest["docs"]).as_py() == docs.count()
+    for p in manifest["path"].to_pylist():
         assert os.path.exists(p) and p.endswith(".jsonl")
     # no stray tmp files left behind
     assert not [f for f in os.listdir(OUT) if f.endswith(".tmp")]
@@ -42,7 +43,7 @@ def test_write_manifest_counts(roundtrip):
 
 def test_lines_are_plain_jsonld(roundtrip):
     _, manifest = roundtrip
-    with open(manifest["path"].iloc[0], encoding="utf-8") as f:
+    with open(manifest["path"][0].as_py(), encoding="utf-8") as f:
         line = f.readline().rstrip("\n")
     doc = json.loads(line)
     # a PLAIN document — context + node, no envelope keys
@@ -108,21 +109,28 @@ def test_multiline_doc_json_guard():
     assert "\n" not in line and json.loads(line) == json.loads(raw)
 
 
-def test_nq_serialize_vectorized_matches_rows(roundtrip, ray_session):
-    """The vectorized N-Quads serializer must be byte-equal to the
-    per-quad term codec on the real quad table (incl. literals with
-    datatypes, langs, bnodes, named graphs)."""
+def _sf_quads() -> pa.Table:
+    """The sf0.001 quad table in block order. Empty blocks are left out:
+    the sort can hand ``_quads_block`` an empty block, which comes back
+    as a table without columns that ``concat_tables`` rejects."""
+    import ray
+
     from jsonld_js_ray.pipelines.kg import build_quads
+
+    return pa.concat_tables([t for t in ray.get(
+        build_quads(SF_DIR).to_arrow_refs()) if t.num_rows])
+
+
+def test_nq_serialize_vectorized_matches_rows(roundtrip, ray_session):
+    """The Arrow N-Quads serializer must be byte-equal to the per-quad
+    term codec on the real quad table (incl. literals with datatypes,
+    langs, bnodes, named graphs)."""
     from jsonld_js_ray.sources.nquads_io import (
         serialize_batch,
         serialize_batch_rows,
     )
 
-    tbl = build_quads(SF_DIR).to_arrow_refs()
-    import ray as _ray
-    import pyarrow as _pa
-
-    full = _pa.concat_tables(_ray.get(tbl))
+    full = _sf_quads()
     fast = serialize_batch(full)["line"].to_pylist()
     slow = serialize_batch_rows(full)["line"].to_pylist()
     assert fast == slow and len(fast) == full.num_rows
@@ -150,21 +158,14 @@ def test_nq_serialize_vectorized_escapes():
         serialize_batch_rows(t)["line"].to_pylist()
 
 
-def _parse_both(lines):
-    import pyarrow as _pa
+def _parse(lines):
+    from jsonld_js_ray.sources.nquads_io import parse_batch
 
-    from jsonld_js_ray.sources.nquads_io import (
-        parse_batch,
-        parse_batch_rows,
-    )
-
-    t = _pa.table({"text": _pa.array(lines, _pa.string())})
-    a = parse_batch(t).to_pandas()
-    b = parse_batch_rows(t).to_pandas()
-    return (a.reset_index(drop=True), b.reset_index(drop=True))
+    t = pa.table({"text": pa.array(lines, pa.string())})
+    return parse_batch(t).to_pandas()
 
 
-def test_nq_parse_vectorized_matches_rows_edges():
+def test_nq_parse_edges():
     lines = [
         '<http://e/s> <http://e/p> "" .',            # empty literal
         '<> <http://e/p> <> .',                       # empty IRIs
@@ -176,20 +177,48 @@ def test_nq_parse_vectorized_matches_rows_edges():
         '<http://e/s> <http://e/p> "y"^^<http://e/dt> .',  # dup quad
         '\t<http://e/s>\t<http://e/p>\t"z" . ',       # tabs / spacing
     ]
-    a, b = _parse_both(lines)
-    assert a.equals(b) and len(a) == 6
+    a = _parse(lines)
+    assert len(a) == 6
+    assert a.iloc[1].to_dict() == {
+        "subj": "", "pred": "http://e/p", "obj_kind": "iri",
+        "obj_value": "", "obj_datatype": None, "obj_lang": None,
+        "graph": "@default"}
+    assert a.iloc[2].to_dict() == {
+        "subj": "http://e/s", "pred": "http://e/p", "obj_kind": "literal",
+        "obj_value": "x",
+        "obj_datatype": "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString",
+        "obj_lang": "en-US", "graph": "http://e/g"}
+    assert a.iloc[3].to_dict() == {
+        "subj": "_:b0", "pred": "http://e/p", "obj_kind": "bnode",
+        "obj_value": "_:b1", "obj_datatype": None, "obj_lang": None,
+        "graph": "_:g2"}
 
 
 def test_nq_parse_escape_and_comment_fall_back():
-    # backslash escapes and trailing comments take the core codec
-    # path; outputs still identical through the public parse_batch
+    # backslash escapes and a trailing comment on a quad line
     lines = [
         '<http://e/s> <http://e/p> "a\\nb\\"c" .',
         '<http://e/s2> <http://e/p> "plain" . # trailing',
     ]
-    a, b = _parse_both(lines)
-    assert a.equals(b) and len(a) == 2
+    a = _parse(lines)
+    assert len(a) == 2
     assert a["obj_value"].iloc[0] == 'a\nb"c'
+
+
+def test_nq_parse_literal_escapes():
+    lines = ['<http://e/s> <http://e/p> "caf\\u00e9 \\U0001F600\\tend" .']
+    assert list(_parse(lines)["obj_value"]) == ["caf\u00e9 \U0001F600\tend"]
+
+
+def test_nq_parse_backslash_in_iri_names_its_line():
+    from jsonld_js_ray.core.errors import JsonLdError
+
+    lines = ['<http://e/s> <http://e/p> "ok" .',
+             '# a comment',
+             '<http://e/s\\u0041> <http://e/p> "x" .']
+    with pytest.raises(JsonLdError) as ei:
+        _parse(lines)
+    assert "line 3" in str(ei.value)
 
 
 def _dir_bytes(d):
@@ -214,13 +243,13 @@ def test_line_sink_lineage_resume(roundtrip, ray_session, tmp_path):
     bytes1 = _dir_bytes(d)
     rec = read_write_manifest(d)
     assert rec is not None and len(rec["parts"]) == len(m1)
-    assert rec["rows"] == int(m1["docs"].sum())
+    assert rec["rows"] == pc.sum(m1["docs"]).as_py()
     mtimes1 = {f: os.stat(os.path.join(d, f)).st_mtime_ns
                for f in bytes1}
 
     # 1. same inputs, intact parts → the write is skipped entirely
     m2 = write_docs_jsonld_lines(docs, d, inputs=inputs)
-    assert sorted(m2["path"]) == sorted(m1["path"])
+    assert sorted(m2["path"].to_pylist()) == sorted(m1["path"].to_pylist())
     assert {f: os.stat(os.path.join(d, f)).st_mtime_ns
             for f in bytes1} == mtimes1          # untouched
 
@@ -274,9 +303,8 @@ def test_fused_reader_error_semantics(ray_session, tmp_path):
 
 
 def test_nq_parse_escaped_error_reports_real_line():
-    # a malformed ESCAPED line takes the per-line slow path; on failure
-    # the batch falls back to the joined core parse so the error
-    # carries the batch-relative position, not "line 1"
+    # a malformed escaped line: the error carries its position in the
+    # batch, not "line 1"
     from jsonld_js_ray.core.errors import JsonLdError
     from jsonld_js_ray.sources.nquads_io import parse_batch
 
@@ -303,36 +331,27 @@ def test_line_sink_clears_orphan_tmp(tmp_path):
     assert not os.path.exists(orphan) and not os.path.exists(stale)
 
 
-def test_nq_parse_vectorized_matches_rows_corpus(roundtrip, ray_session):
-    import pyarrow as _pa
+def test_nq_corpus_round_trip(roundtrip, ray_session):
+    from jsonld_js_ray.sources.nquads_io import parse_batch, serialize_batch
 
-    from jsonld_js_ray.pipelines.kg import build_quads
-    from jsonld_js_ray.sources.nquads_io import (
-        parse_batch,
-        parse_batch_rows,
-        serialize_batch,
-    )
-    import ray as _ray
-
-    full = _pa.concat_tables(_ray.get(
-        build_quads(SF_DIR).to_arrow_refs()))
+    full = _sf_quads()
     lines = serialize_batch(full).rename_columns(["text"])
-    a = parse_batch(lines).to_pandas()
-    b = parse_batch_rows(lines).to_pandas()
-    assert a.reset_index(drop=True).equals(b.reset_index(drop=True))
-    assert len(a) == full.num_rows
+    back = parse_batch(lines)
+    wire = full.drop_columns(["conv_id"])
+    assert back.num_rows == full.num_rows
+    assert back.equals(wire)
 
 
 def test_nq_parse_sparse_escape_splice():
-    # escaped lines are parsed per-line and spliced back in position;
-    # keep-first dedup must see the original line order
+    # keep-first dedup over escaped and plain lines follows the
+    # original line order
     lines = [
         '<http://e/s> <http://e/p> "first" .',
-        '<http://e/s> <http://e/p> "with \\"quote\\"" .',   # slow row
+        '<http://e/s> <http://e/p> "with \\"quote\\"" .',   # escaped
         '<http://e/s> <http://e/p> "second" .',
-        '<http://e/s> <http://e/p> "with \\"quote\\"" .',   # dup slow
-        '<http://e/s> <http://e/p> "first" .',              # dup fast
+        '<http://e/s> <http://e/p> "with \\"quote\\"" .',   # dup escaped
+        '<http://e/s> <http://e/p> "first" .',              # dup plain
     ]
-    a, b = _parse_both(lines)
-    assert a.equals(b) and len(a) == 3
+    a = _parse(lines)
+    assert len(a) == 3
     assert list(a["obj_value"]) == ['first', 'with "quote"', 'second']

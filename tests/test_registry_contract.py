@@ -146,3 +146,33 @@ def test_no_actor_pool_in_the_package():
     assert len(files) > 20 and classes, "the walk is broken"
     assert [f"{f.relative_to(REPO)}:{hit}" for f, tree in trees.items()
             for hit in _actor_pool_hits(tree, classes)] == []
+
+
+def _pandas_or_numpy_hits(tree: ast.AST) -> list[str]:
+    """``import pandas``/``import numpy`` (either form) and
+    ``.to_pandas(`` calls, by line."""
+    hits: list[str] = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            mods = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            mods = [n.module or ""]
+        else:
+            mods = []
+        hits.extend(f"{n.lineno}:import {m}" for m in mods
+                    if m.split(".")[0] in ("pandas", "numpy"))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and n.func.attr == "to_pandas":
+            hits.append(f"{n.lineno}:to_pandas")
+    return hits
+
+
+def test_sources_import_no_pandas():
+    """The text and Parquet sources in ``jsonld_js_ray/sources`` work on
+    Arrow tables end to end: no module there imports pandas or numpy or
+    converts a table with ``.to_pandas(``."""
+    files = sorted((REPO / "jsonld_js_ray" / "sources").glob("*.py"))
+    assert len(files) > 4, "too few modules: the walk is broken"
+    assert [f"{f.relative_to(REPO)}:{hit}" for f in files
+            for hit in _pandas_or_numpy_hits(ast.parse(f.read_text()))] \
+        == []
