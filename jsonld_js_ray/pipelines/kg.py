@@ -7,18 +7,23 @@ Stages (all lazy Ray Data; the streaming executor pipelines them):
                                             user's events in one block
     → map_batches(_quads_block,           — per BLOCK: one Arrow sort,
         batch_size=None)                    vectorised turn derivation
-                                            (+ entity linking), doc
-                                            assembly in memory, then
+                                            (+ entity linking), then
+                                            one document at a time
+                                            (≤ MAX_TURNS_PER_DOC turns)
+                                            built and streamed through
                                             expand + nodeMap + toRDF +
-                                            URDNA2015 per conversation
+                                            URDNA2015
     → quad table (Arrow)                  — FIXTURES.md §2 schema
 
 This is the shape ``groupby(...).map_groups`` runs under the hood (a
 sort, then whole-block batches), without one Python call per user and
 without a ``json.dumps`` → ``json.loads`` hop between assembly and
-ToRdf (``stages/assemble.assemble_events_block``). ``assemble_docs``
-runs the same kernel and serialises the documents for the ``doc_json``
-consumers.
+ToRdf (``stages/assemble.assemble_events_block``, a generator). The
+block's working set is one small document, not the block's documents:
+a document tree that lives long enough to be promoted makes CPython's
+cyclic collector re-scan it in full collections (BASELINE.md, "Bounded
+working set"). ``assemble_docs`` runs the same kernel and serialises
+the documents for the ``doc_json`` consumers.
 
 Every other grouping query here runs the same idiom
 (``rayutil.per_block``: sort on the key, then one named block function
@@ -75,6 +80,10 @@ from ..state import checkpoint as ckpt
 # giant block streams out in pieces (SURVEY.md §4.3 stragglers row)
 DOCS_PER_BATCH = 256
 
+# the sink's quad rows: the quad schema, the shard id and its partition key
+_SINK_SCHEMA = QUAD_SCHEMA.append(pa.field("part_id", pa.int32())) \
+    .append(pa.field("shard", pa.string()))
+
 
 def _put(entity_mapping: dict | None):
     """Broadcast the mapping once with ray.put; each block reads it."""
@@ -100,24 +109,33 @@ def _docs_block(block: pa.Table, mapping_ref) -> pa.Table:
 def _quads_block(block: pa.Table, *, batch_size: int, skip_errors: bool,
                  mapping_ref):
     """One sorted block of events → quad tables of at most
-    ``batch_size`` documents and one ``part_id`` each. With a
-    ``part_id`` (the sink) every quad keeps its doc's ``part_id`` and
+    ``batch_size`` documents and one ``part_id`` each. Documents stream:
+    each is built as ToRdf asks for it and dropped once converted, so
+    the block's working set is one document plus the quad columns. With
+    a ``part_id`` (the sink) every quad keeps its doc's ``part_id`` and
     gets the ``shard`` partition key (the zero-padded name
-    ``ckpt.shard_data_dir`` uses)."""
+    ``ckpt.shard_data_dir`` uses). A block without documents yields one
+    empty table of the same schema, never a table without columns (Ray
+    itself passes an empty block on without calling this function)."""
     docs = assemble_events_block(block, _get(mapping_ref))
+    empty = True
     for pid, run in itertools.groupby(docs, key=lambda d: d[0]):
-        run = list(run)
-        for k in range(0, len(run), batch_size):
-            chunk = run[k:k + batch_size]
+        for first in run:
+            batch = itertools.chain(
+                [first], itertools.islice(run, batch_size - 1))
             quads = rows_from_parsed_task_fn(
-                [d[1] for d in chunk], [d[3] for d in chunk], skip_errors)
+                ((d[1], d[3]) for d in batch), skip_errors)
             if pid is not None:
                 n = quads.num_rows
                 quads = quads.append_column(
                     "part_id", pa.repeat(pa.scalar(pid, pa.int32()), n)
                 ).append_column("shard", pa.repeat(pa.scalar(f"{pid:05d}"),
                                                    n))
+            empty = False
             yield quads
+    if empty:
+        yield (_SINK_SCHEMA if "part_id" in block.column_names
+               else QUAD_SCHEMA).empty_table()
 
 
 def assemble_docs(sf_dir: str, files: list[str] | None = None,

@@ -147,11 +147,9 @@ def build_quads_from_jsonld_lines(paths, batch_size: int = 256,
     from ..stages.to_rdf_stage import rows_from_parsed_task_fn
 
     def fused(batch: pa.Table, _s=skip_errors) -> pa.Table:
-        ids, docs = [], []
-        for cid, doc, _line in _scan_lines(batch["text"].to_pylist()):
-            ids.append(cid)
-            docs.append(doc)
-        return rows_from_parsed_task_fn(ids, docs, skip_errors=_s)
+        return rows_from_parsed_task_fn(
+            [(cid, doc) for cid, doc, _line
+             in _scan_lines(batch["text"].to_pylist())], skip_errors=_s)
 
     return _read_lines(paths, file_extensions).map_batches(
         fused, batch_format="pyarrow", batch_size=batch_size)

@@ -5,9 +5,13 @@ Events → one JSON-LD document per conversation (user), turns in stable
 flagship runs ``assemble_events_block`` once per block of a dataset
 sorted on the user key: one Arrow sort, turn derivation and mention
 linking vectorised over the block, then ``assemble_conversation`` per
-run of one user, chunked at ``MAX_TURNS_PER_DOC``. The documents go
-straight to ToRdf as Python objects; ``doc_rows`` serialises them only
-for the ``doc_json`` consumers. No per-user Python call through Ray.
+chunk of at most ``MAX_TURNS_PER_DOC`` turns of one user's run. The
+kernel is a generator: each document is built only when the consumer
+asks for it, so ToRdf holds one document's object tree at a time and
+that tree stays small enough to die young instead of being promoted
+and re-scanned by the cyclic collector. ``doc_rows`` materialises and
+serialises the documents only for the ``doc_json`` consumers. No
+per-user Python call through Ray.
 
 The fixed transcript @context maps role/text/tool/ts/position terms to
 IRIs under the ``https://w3id.org/conv#`` vocabulary; role values are
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import pyarrow as pa
 
@@ -56,7 +60,12 @@ def format_ts(ts: Any) -> str:
     return str(ts)
 
 
-MAX_TURNS_PER_DOC = 4096
+# Turns per document. Past this a conversation is cut into chunks: the
+# knee of the per-quad kernel cost measured inside a Ray worker
+# (BASELINE.md, "Bounded working set"), where a document's expand and
+# toRDF intermediates start to outlive the collector's young
+# generations.
+MAX_TURNS_PER_DOC = 128
 
 
 def assemble_conversation(
@@ -72,7 +81,11 @@ def assemble_conversation(
     (output of the entity-linking stage). For chunked giant conversations
     (SURVEY.md §7.4.6), later chunks pass ``include_conv_meta=False`` so
     the conversation-level triples (@type, turnCount) are emitted exactly
-    once; the union of chunk triple sets equals the unchunked set.
+    once; the union of chunk triple sets equals the unchunked set. All
+    chunks of one conversation share one blank-node namespace (ToRdf
+    prefixes labels with the conversation's fingerprint and URDNA2015
+    numbers them from 0 in every document), so chunking stays exact
+    only while a document carries no blank node, as none does today.
     """
     c_iri = conv_iri(conv_id)
     turn_nodes = []
@@ -118,10 +131,10 @@ def conversation_docs(
     """One conversation's sorted turns → (n_turns, doc) per chunk.
 
     Conversations above ``max_turns_per_doc`` (default
-    ``MAX_TURNS_PER_DOC``, read at call time) are chunked so one
-    pathological conversation cannot exceed a worker's heap; the union
-    of the chunks' triple sets equals the unchunked set (conversation
-    metadata only in chunk 0)."""
+    ``MAX_TURNS_PER_DOC``, read at call time) are chunked so no document
+    grows past the kernel's bounded working set; the union of the
+    chunks' triple sets equals the unchunked set (conversation metadata
+    only in chunk 0)."""
     cap = max_turns_per_doc or MAX_TURNS_PER_DOC
     total = len(turns)
     chunks = [turns[i:i + cap] for i in range(0, total, cap)] or [[]]
@@ -146,16 +159,19 @@ def _ts_strings(ts: pa.ChunkedArray) -> list[str | None]:
 
 def assemble_events_block(events: pa.Table,
                           mapping: dict[str, str] | None = None
-                          ) -> list[tuple[int | None, str, int, dict]]:
+                          ) -> Iterator[tuple[int | None, str, int, dict]]:
     """The block kernel: events of any number of users → one
-    ``(part_id, conv_id, n_turns, doc)`` per document.
+    ``(part_id, conv_id, n_turns, doc)`` per document, yielded as each
+    document is built.
 
     One sort on ``(part_id, user_id, ts, event_id)`` (``part_id``, the
     sink's shard id, only when the table has it; else ``part_id`` is
     None), turn derivation vectorised over the whole block with the
     transcript rules (``sources.transcripts``), then one conversation
     per run of equal ``(part_id, user_id)``: turns numbered from 0 in
-    ``(ts, event_id)`` order, chunked by ``conversation_docs``.
+    ``(ts, event_id)`` order, cut every ``MAX_TURNS_PER_DOC`` turns
+    (read at call time) as ``conversation_docs`` cuts them, and each
+    chunk's document built only when the consumer asks for it.
     ``mapping`` (surface → canonical surface) links every turn's
     mentions (``linker.link_mentions``, one call per block); None
     links none. Documents come in key order."""
@@ -174,23 +190,27 @@ def assemble_events_block(events: pa.Table,
     text = text_col.to_pylist()
     ts = _ts_strings(t["ts"])
     links = None if mapping is None else link_mentions(text_col, mapping)
+    cap = MAX_TURNS_PER_DOC
 
-    out = []
     for pid, user, a, b in zip(parts, users, starts, starts[1:]):
         conv_id = f"conv-{user}"
-        turns = [{"turn_idx": i, "role": role[r], "text": text[r],
-                  "tool": tool[r], "ts": ts[r]}
-                 for i, r in enumerate(range(a, b))]
-        mentions = None if links is None else \
-            {i: links[r] for i, r in enumerate(range(a, b)) if links[r]}
-        out += [(pid, conv_id, n, doc)
-                for n, doc in conversation_docs(conv_id, turns, mentions)]
-    return out
+        for lo in range(a, b, cap):
+            rows = range(lo, min(lo + cap, b))
+            turns = [{"turn_idx": r - a, "role": role[r], "text": text[r],
+                      "tool": tool[r], "ts": ts[r]} for r in rows]
+            mentions = None if links is None else \
+                {r - a: links[r] for r in rows if links[r]}
+            yield pid, conv_id, len(rows), assemble_conversation(
+                conv_id, turns, mentions, turn_count=b - a,
+                include_conv_meta=(lo == a))
 
 
-def doc_rows(docs: list[tuple[int | None, str, int, dict]]) -> pa.Table:
+def doc_rows(docs: Iterable[tuple[int | None, str, int, dict]]
+             ) -> pa.Table:
     """Kernel documents → the ``(conv_id, n_turns, doc_json)`` table the
-    JSON connectors and per-document queries read."""
+    JSON connectors and per-document queries read (all of the block's
+    documents at once)."""
+    docs = list(docs)
     return pa.table({
         "conv_id": pa.array([d[1] for d in docs], pa.string()),
         "n_turns": pa.array([d[2] for d in docs], pa.int32()),

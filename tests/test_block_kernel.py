@@ -51,12 +51,12 @@ def _by_conv(docs) -> dict[str, list[dict]]:
 
 
 def test_ts_ties_broken_by_event_id():
-    docs = assemble_events_block(_events([
+    docs = list(assemble_events_block(_events([
         (9, _ts(1), 7, "view", "b"),
         (3, _ts(1), 7, "click", "a"),      # same ts, lower event_id
         (1, _ts(2), 7, "error", "c"),
         (2, _ts(0), 5, "view", "x"),
-    ]))
+    ])))
     assert [(d[1], d[2]) for d in docs] == [("conv-5", 1), ("conv-7", 3)]
     turns = _by_conv(docs)["conv-7"][0]["hasTurn"]
     assert [t["text"] for t in turns] == ["click a", "view b", "error c"]
@@ -66,11 +66,11 @@ def test_ts_ties_broken_by_event_id():
 
 
 def test_null_event_type_props_and_ts():
-    docs = assemble_events_block(_events([
+    docs = list(assemble_events_block(_events([
         (1, None, 4, "click", "p"),         # null ts sorts last
         (2, _ts(0), 4, None, "p"),
         (3, _ts(1), 4, "purchase", None),
-    ]))
+    ])))
     (doc,) = _by_conv(docs)["conv-4"]
     t0, t1, t2 = doc["hasTurn"]
     # null event_type: role 'other', no text, no tool
@@ -87,9 +87,9 @@ def test_chunking_inside_a_block_with_other_users(monkeypatch):
     rows = [(i, _ts(i), 1, "view", f"v{i}") for i in range(7)] + \
         [(100 + i, _ts(i), 2, "click", f"c{i}") for i in range(2)] + \
         [(200, _ts(0), 0, "error", "e")]
-    whole = assemble_events_block(_events(rows))
+    whole = list(assemble_events_block(_events(rows)))
     monkeypatch.setattr(assemble, "MAX_TURNS_PER_DOC", 3)
-    docs = assemble_events_block(_events(rows))
+    docs = list(assemble_events_block(_events(rows)))
     assert [(d[1], d[2]) for d in docs] == [
         ("conv-0", 1), ("conv-1", 3), ("conv-1", 3), ("conv-1", 1),
         ("conv-2", 2)]
@@ -108,12 +108,12 @@ def test_chunking_inside_a_block_with_other_users(monkeypatch):
 
 
 def test_user_split_over_parts_yields_one_doc_per_part():
-    docs = assemble_events_block(_events([
+    docs = list(assemble_events_block(_events([
         (1, _ts(0), 3, "view", "a"),
         (2, _ts(1), 3, "view", "b"),
         (3, _ts(2), 3, "view", "c"),
         (4, _ts(0), 8, "view", "d"),
-    ], part_ids=[1, 0, 1, 0]))
+    ], part_ids=[1, 0, 1, 0])))
     assert [(d[0], d[1], d[2]) for d in docs] == [
         (0, "conv-3", 1), (0, "conv-8", 1), (1, "conv-3", 2)]
     # each part numbers its turns from 0, as a per-file run does
@@ -139,11 +139,11 @@ def test_group_wrapper_equals_kernel_per_user(sf_dir):
 
 def test_block_linking_one_iri_per_canonical_surface():
     mapping = {"clicks": "click", "zap": "click", "boom": "bang"}
-    docs = assemble_events_block(_events([
+    docs = list(assemble_events_block(_events([
         (1, _ts(0), 1, "click", "Clicks ZAP boom bang ok"),
         (2, _ts(1), 1, "view", None),
         (3, _ts(0), 2, "error", "bang"),
-    ]), mapping)
+    ]), mapping))
     by = _by_conv(docs)
     t0, t1 = by["conv-1"][0]["hasTurn"]
     assert t0["mentions"] == [ENTITY_NS + "click", ENTITY_NS + "bang"]
@@ -151,7 +151,8 @@ def test_block_linking_one_iri_per_canonical_surface():
     assert by["conv-2"][0]["hasTurn"][0]["mentions"] == [
         ENTITY_NS + "error", ENTITY_NS + "bang"]
     # without a mapping nothing is linked
-    plain = assemble_events_block(_events([(1, _ts(0), 1, "click", "x")]))
+    plain = list(assemble_events_block(
+        _events([(1, _ts(0), 1, "click", "x")])))
     assert "mentions" not in plain[0][3]["hasTurn"][0]
 
 
@@ -224,5 +225,90 @@ def test_doc_counts_sum_chunks_per_conversation(monkeypatch, fn_name,
 
     assert counts(fn(_events(rows))) == expected
     monkeypatch.setattr(assemble, "MAX_TURNS_PER_DOC", 3)
-    assert len(assemble_events_block(_events(rows))) == 5
+    assert len(list(assemble_events_block(_events(rows)))) == 5
     assert counts(fn(_events(rows))) == expected
+
+
+def _long_conversation(n: int) -> pa.Table:
+    return _events([(i, _ts(i % 60), 1, ("view", "click")[i % 2], f"p{i}")
+                    for i in range(n)])
+
+
+def test_chunked_conversation_same_quad_multiset_as_one_document():
+    """A conversation of ``2·cap + 1`` turns, cut by the kernel, gives
+    exactly the quads of one uncut document; only chunk 0 carries the
+    conversation's ``@type`` and ``turnCount`` (the total)."""
+    from collections import Counter
+
+    from jsonld_js_ray.sources.transcripts import transcripts_block
+
+    cap = assemble.MAX_TURNS_PER_DOC
+    events = _long_conversation(2 * cap + 1)
+    docs = list(assemble_events_block(events))
+    assert [d[2] for d in docs] == [cap, cap, 1]
+    assert [("@type" in d[3], d[3].get("turnCount")) for d in docs] == [
+        (True, 2 * cap + 1), (False, None), (False, None)]
+
+    turns = transcripts_block(events).to_pylist()
+    ((_n, whole),) = assemble.conversation_docs(
+        "conv-1", turns, max_turns_per_doc=10**9)
+    actor = ToRdfActor()
+    assert Counter(q for d in docs
+                   for q in actor.doc_to_quads(d[3], "conv-1")) == \
+        Counter(actor.doc_to_quads(whole, "conv-1"))
+
+
+def test_kernel_yields_each_document_as_it_is_built(monkeypatch):
+    built = []
+    real = assemble.assemble_conversation
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assemble, "assemble_conversation", counting)
+    monkeypatch.setattr(assemble, "MAX_TURNS_PER_DOC", 3)
+    docs = assemble_events_block(_events(
+        [(i, _ts(i), 1, "view", f"v{i}") for i in range(7)]
+        + [(100, _ts(0), 2, "click", "c")]))
+    assert iter(docs) is docs and built == []
+    assert next(docs)[1] == "conv-1" and built == ["conv-1"]
+    assert [d[2] for d in docs] == [3, 1, 1]
+    assert built == ["conv-1"] * 3 + ["conv-2"]
+
+
+@pytest.mark.parametrize("mapping", [None, {"view": "look"}])
+def test_chunked_conversation_has_no_blank_node(monkeypatch, mapping):
+    """Chunks of one conversation share one blank-node namespace (the
+    conversation's fingerprint, ``c14n`` numbered from 0 per document),
+    so cutting stays exact only while the documents carry no blank
+    node."""
+    monkeypatch.setattr(assemble, "MAX_TURNS_PER_DOC", 3)
+    docs = assemble_events_block(_long_conversation(10), mapping)
+    quads = ToRdfActor().rows_from_pairs((d[1], d[3]) for d in docs)
+    assert quads.num_rows > 0
+    assert (ENTITY_NS + "look" in quads["obj_value"].to_pylist()) == \
+        (mapping is not None)
+    for col in ("subj", "obj_value", "graph"):
+        assert not any(v.startswith("_:") for v in quads[col].to_pylist())
+
+
+@pytest.mark.parametrize("part_ids", [None, []])
+def test_quads_block_of_no_events_yields_one_empty_table(part_ids):
+    """An empty sorted block still yields one table with the block's
+    output schema, so concatenating a dataset's blocks never meets a
+    table without columns."""
+    from jsonld_js_ray.pipelines.kg import _SINK_SCHEMA, _quads_block
+    from jsonld_js_ray.stages.to_rdf_stage import QUAD_SCHEMA
+
+    block = _events([], part_ids)
+    (empty,) = _quads_block(block, batch_size=256, skip_errors=False,
+                            mapping_ref=None)
+    assert empty.num_rows == 0
+    assert empty.schema.equals(QUAD_SCHEMA if part_ids is None
+                               else _SINK_SCHEMA)
+    (full,) = _quads_block(
+        _events([(1, _ts(0), 1, "view", "a")],
+                None if part_ids is None else [3]),
+        batch_size=256, skip_errors=False, mapping_ref=None)
+    assert pa.concat_tables([empty, full]).num_rows == full.num_rows
