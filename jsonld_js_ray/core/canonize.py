@@ -179,29 +179,6 @@ class _CanonState:
         return self._hash(data_to_hash), issuer
 
 
-def _dedup(dataset: list[tuple]) -> list[tuple]:
-    """Keep-first dedup: one C-level ``dict.fromkeys`` pass; a quad
-    holding an unhashable term (list-typed datatype) falls back to a
-    per-quad loop keyed on ``repr`` for such quads."""
-    try:
-        return list(dict.fromkeys(dataset))
-    except TypeError:
-        pass
-    seen: set = set()
-    deduped = []
-    for q in dataset:
-        try:
-            key = q
-            fresh = key not in seen
-        except TypeError:     # unhashable term
-            key = repr(q)
-            fresh = key not in seen
-        if fresh:
-            seen.add(key)
-            deduped.append(q)
-    return deduped
-
-
 def relabel_dataset(dataset: list[tuple],
                     max_work: int = DEFAULT_MAX_WORK,
                     algorithm: str = "URDNA2015",
@@ -224,7 +201,10 @@ def relabel_dataset(dataset: list[tuple],
     in-memory multiset (e.g. the reference fork emits a duplicate
     value-quad in its broken @type-container+@list path, fuzz seed
     864917) must see identical labels either way."""
-    deduped = _dedup(dataset)
+    try:
+        deduped = list(dict.fromkeys(dataset))
+    except TypeError:     # unhashable term (list-typed datatype)
+        deduped = list({repr(q): q for q in dataset}.values())
     if not any("BlankNode" in (q[0][0], q[1][0], q[3][0])
                or (q[2] is not None and q[2][0] == "BlankNode")
                for q in deduped):

@@ -80,10 +80,6 @@ from ..state import checkpoint as ckpt
 # giant block streams out in pieces (SURVEY.md §4.3 stragglers row)
 DOCS_PER_BATCH = 256
 
-# the sink's quad rows: the quad schema, the shard id and its partition key
-_SINK_SCHEMA = QUAD_SCHEMA.append(pa.field("part_id", pa.int32())) \
-    .append(pa.field("shard", pa.string()))
-
 
 def _put(entity_mapping: dict | None):
     """Broadcast the mapping once with ray.put; each block reads it."""
@@ -114,11 +110,8 @@ def _quads_block(block: pa.Table, *, batch_size: int, skip_errors: bool,
     the block's working set is one document plus the quad columns. With
     a ``part_id`` (the sink) every quad keeps its doc's ``part_id`` and
     gets the ``shard`` partition key (the zero-padded name
-    ``ckpt.shard_data_dir`` uses). A block without documents yields one
-    empty table of the same schema, never a table without columns (Ray
-    itself passes an empty block on without calling this function)."""
+    ``ckpt.shard_data_dir`` uses)."""
     docs = assemble_events_block(block, _get(mapping_ref))
-    empty = True
     for pid, run in itertools.groupby(docs, key=lambda d: d[0]):
         for first in run:
             batch = itertools.chain(
@@ -131,11 +124,7 @@ def _quads_block(block: pa.Table, *, batch_size: int, skip_errors: bool,
                     "part_id", pa.repeat(pa.scalar(pid, pa.int32()), n)
                 ).append_column("shard", pa.repeat(pa.scalar(f"{pid:05d}"),
                                                    n))
-            empty = False
             yield quads
-    if empty:
-        yield (_SINK_SCHEMA if "part_id" in block.column_names
-               else QUAD_SCHEMA).empty_table()
 
 
 def assemble_docs(sf_dir: str, files: list[str] | None = None,

@@ -127,8 +127,9 @@ def conversation_docs(
     turns: list[dict[str, Any]],
     mentions_by_turn: dict[int, list[str]] | None = None,
     max_turns_per_doc: int | None = None,
-) -> list[tuple[int, dict[str, Any]]]:
-    """One conversation's sorted turns → (n_turns, doc) per chunk.
+) -> Iterator[tuple[int, dict[str, Any]]]:
+    """One conversation's sorted turns → (n_turns, doc) per chunk, each
+    chunk's document built only when the consumer asks for it.
 
     Conversations above ``max_turns_per_doc`` (default
     ``MAX_TURNS_PER_DOC``, read at call time) are chunked so no document
@@ -137,11 +138,11 @@ def conversation_docs(
     only in chunk 0)."""
     cap = max_turns_per_doc or MAX_TURNS_PER_DOC
     total = len(turns)
-    chunks = [turns[i:i + cap] for i in range(0, total, cap)] or [[]]
-    return [(len(chunk), assemble_conversation(
-                conv_id, chunk, mentions_by_turn, turn_count=total,
-                include_conv_meta=(i == 0)))
-            for i, chunk in enumerate(chunks)]
+    for lo in range(0, total or 1, cap):
+        chunk = turns[lo:lo + cap]
+        yield len(chunk), assemble_conversation(
+            conv_id, chunk, mentions_by_turn, turn_count=total,
+            include_conv_meta=(lo == 0))
 
 
 def _ts_strings(ts: pa.ChunkedArray) -> list[str | None]:
@@ -169,9 +170,8 @@ def assemble_events_block(events: pa.Table,
     None), turn derivation vectorised over the whole block with the
     transcript rules (``sources.transcripts``), then one conversation
     per run of equal ``(part_id, user_id)``: turns numbered from 0 in
-    ``(ts, event_id)`` order, cut every ``MAX_TURNS_PER_DOC`` turns
-    (read at call time) as ``conversation_docs`` cuts them, and each
-    chunk's document built only when the consumer asks for it.
+    ``(ts, event_id)`` order, cut and built lazily by
+    ``conversation_docs``.
     ``mapping`` (surface → canonical surface) links every turn's
     mentions (``linker.link_mentions``, one call per block); None
     links none. Documents come in key order."""
@@ -190,19 +190,16 @@ def assemble_events_block(events: pa.Table,
     text = text_col.to_pylist()
     ts = _ts_strings(t["ts"])
     links = None if mapping is None else link_mentions(text_col, mapping)
-    cap = MAX_TURNS_PER_DOC
 
     for pid, user, a, b in zip(parts, users, starts, starts[1:]):
         conv_id = f"conv-{user}"
-        for lo in range(a, b, cap):
-            rows = range(lo, min(lo + cap, b))
-            turns = [{"turn_idx": r - a, "role": role[r], "text": text[r],
-                      "tool": tool[r], "ts": ts[r]} for r in rows]
-            mentions = None if links is None else \
-                {r - a: links[r] for r in rows if links[r]}
-            yield pid, conv_id, len(rows), assemble_conversation(
-                conv_id, turns, mentions, turn_count=b - a,
-                include_conv_meta=(lo == a))
+        turns = [{"turn_idx": i, "role": role[r], "text": text[r],
+                  "tool": tool[r], "ts": ts[r]}
+                 for i, r in enumerate(range(a, b))]
+        mentions = None if links is None else \
+            {i: links[r] for i, r in enumerate(range(a, b)) if links[r]}
+        for n, doc in conversation_docs(conv_id, turns, mentions):
+            yield pid, conv_id, n, doc
 
 
 def doc_rows(docs: Iterable[tuple[int | None, str, int, dict]]

@@ -291,24 +291,3 @@ def test_chunked_conversation_has_no_blank_node(monkeypatch, mapping):
         (mapping is not None)
     for col in ("subj", "obj_value", "graph"):
         assert not any(v.startswith("_:") for v in quads[col].to_pylist())
-
-
-@pytest.mark.parametrize("part_ids", [None, []])
-def test_quads_block_of_no_events_yields_one_empty_table(part_ids):
-    """An empty sorted block still yields one table with the block's
-    output schema, so concatenating a dataset's blocks never meets a
-    table without columns."""
-    from jsonld_js_ray.pipelines.kg import _SINK_SCHEMA, _quads_block
-    from jsonld_js_ray.stages.to_rdf_stage import QUAD_SCHEMA
-
-    block = _events([], part_ids)
-    (empty,) = _quads_block(block, batch_size=256, skip_errors=False,
-                            mapping_ref=None)
-    assert empty.num_rows == 0
-    assert empty.schema.equals(QUAD_SCHEMA if part_ids is None
-                               else _SINK_SCHEMA)
-    (full,) = _quads_block(
-        _events([(1, _ts(0), 1, "view", "a")],
-                None if part_ids is None else [3]),
-        batch_size=256, skip_errors=False, mapping_ref=None)
-    assert pa.concat_tables([empty, full]).num_rows == full.num_rows

@@ -618,8 +618,8 @@ def test_giant_conversation_chunking_same_triple_set():
                                           "c1"))
         return out
 
-    whole = conversation_docs("c1", turns, max_turns_per_doc=10_000)
-    chunked = conversation_docs("c1", turns, max_turns_per_doc=7)
+    whole = list(conversation_docs("c1", turns, max_turns_per_doc=10_000))
+    chunked = list(conversation_docs("c1", turns, max_turns_per_doc=7))
     assert len(whole) == 1 and len(chunked) == 4
     assert [n for n, _doc in chunked] == [7, 7, 7, 4]
     assert quads_for(whole) == quads_for(chunked)
